@@ -14,8 +14,7 @@ from .harness import (Analysis, CorpusResult, DEFAULT_C44_CONFIGS,
 from .perms import (Perm, PermGroup, commutator, cycle_perm, parse_cycles,
                     read_generator_file)
 from .structure import (ConjugacyClasses, GroupStructure, SeparationAnomaly,
-                        Subgroup, conjugacy_classes, is_p_solvable,
-                        normal_closure, quotient_group, separating_subsets,
+                        conjugacy_classes, normal_closure, separating_subsets,
                         structure_report)
 from .symchar import (conjugate, degree, is_self_associate, mn_value,
                       partitions, sn_table, witness_cycle_type,
@@ -30,15 +29,15 @@ __all__ = [
     "Analysis", "Caps", "CapExceeded", "CharacterTable", "ConjugacyClasses",
     "CorpusResult", "Cyc", "DEFAULT_C44_CONFIGS", "DEFAULT_CORPUS",
     "GroupStructure", "Perm", "PermGroup", "PrimeGraph", "SeparationAnomaly",
-    "SpecError", "Subgroup", "VanishingReport", "Verdict", "act", "analyze",
+    "SpecError", "VanishingReport", "Verdict", "act", "analyze",
     "catalog_group", "character_table", "check_theorems", "class_constants",
     "commutator", "conjugacy_classes", "conjugate", "corpus_run",
     "cycle_perm", "cyclotomic_poly", "default_caps", "degree",
     "distinct_coordinate_vector", "dot_text", "group_order", "is_complete",
-    "is_complete_vertex", "is_p_solvable", "is_self_associate",
+    "is_complete_vertex", "is_self_associate",
     "is_subgraph", "mn_value", "normal_closure", "orbit_census",
     "orbit_size", "parse_cycles", "partitions", "prime_graph",
-    "quotient_group", "read_generator_file", "report_dict",
-    "separating_subsets", "sn_table", "stabilizer", "structure_report",
-    "vanishing_report", "witness_cycle_type", "witness_partition",
+    "read_generator_file", "report_dict", "separating_subsets", "sn_table",
+    "stabilizer", "structure_report", "vanishing_report",
+    "witness_cycle_type", "witness_partition",
 ]

@@ -25,7 +25,6 @@ class CapExceeded(Exception):
 @dataclass(frozen=True)
 class Caps:
     enum_cap: int = 200_000
-    quotient_degree_cap: int = 10_000
     table_class_cap: int = 60
     sepset_points_cap: int = 12
     stabilizer_pairs_cap: int = 1_000_000

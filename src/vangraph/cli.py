@@ -4,7 +4,8 @@ Subcommands: analyze (full report for one group), check (theorem
 verdicts only), corpus (batch run with the exit-code contract),
 symchar (one character value), modorbit (zero-sum module census),
 sepsets (separating point subsets).  Exit codes: 0 clean, 1 a check
-FAILed, 2 unusable input.
+FAILed, 2 unusable input or a cap hit, 3 an internal consistency check
+failed (a bug, never a verdict).
 """
 from __future__ import annotations
 
@@ -183,6 +184,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

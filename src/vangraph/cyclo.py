@@ -46,7 +46,7 @@ def _poly_mod(a, m):
 
 
 def _poly_divexact(a, b):
-    """Quotient a // b for monic b with zero remainder required."""
+    """Exact division a // b for monic b; the remainder must be zero."""
     a = list(a)
     db = len(b) - 1
     q = [0] * (len(a) - db)

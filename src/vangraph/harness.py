@@ -20,8 +20,7 @@ from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
 from .structure import (ConjugacyClasses, GroupStructure, StructureReport,
-                        Subgroup, conjugacy_classes, normal_closure,
-                        structure_report)
+                        conjugacy_classes, normal_closure, structure_report)
 from .vanishing import (VanishingReport, is_complete, is_complete_vertex,
                         vanishing_report)
 
@@ -59,17 +58,6 @@ DEFAULT_C44_CONFIGS = (
      "p": 3},
 )
 
-# Nonabelian simple groups lacking a q-defect-zero character, per the
-# Granville-Ono classification.  Reference data only: the sporadic
-# entries are far outside enumeration range and stay unverified here;
-# the alternating-group entries are checked where we can compute them.
-GRANVILLE_ONO_EXCEPTIONS = {
-    2: ("M12", "M22", "M24", "J2", "HS", "Suz", "Ru", "Co1", "Co3", "BM",
-        "Alt(n) for various n >= 7"),
-    3: ("Suz", "Co3", "Alt(n) for various n >= 7"),
-}
-
-
 @dataclass(frozen=True)
 class Verdict:
     check: str
@@ -96,6 +84,7 @@ class Analysis:
     table: CharacterTable
     vanishing: VanishingReport
     report: StructureReport
+    caps: Caps
 
 
 def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
@@ -105,8 +94,8 @@ def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
     else:
         group, name = catalog_group(spec), spec
     classes = conjugacy_classes(group, caps)
-    structure = GroupStructure(classes, caps)
     table = character_table(classes, caps)
+    structure = GroupStructure(table)
     return Analysis(
         spec=name,
         group=group,
@@ -115,6 +104,7 @@ def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
         table=table,
         vanishing=vanishing_report(table),
         report=structure_report(structure),
+        caps=caps,
     )
 
 
@@ -123,24 +113,18 @@ def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
 def _pair_solvability(analysis: Analysis, primes, check: str,
                       detail_ok: str) -> Verdict:
     """Shared tail of the two solvability checks: all named primes must
-    be solvable-for; a None entry (cap hit) makes the verdict
-    indeterminate rather than failed."""
+    be solvable-for."""
     solv = analysis.report.p_solvable
-    unknown = [p for p in primes if solv.get(p) is None]
-    bad = [p for p in primes if solv.get(p) is False]
+    bad = [p for p in primes if not solv[p]]
     if bad:
         return Verdict(check, FAIL, f"not p-solvable for p in {bad}",
                        {"primes": bad})
-    if unknown:
-        return Verdict(check, INDETERMINATE,
-                       f"solvability out of reach for p in {unknown}")
     return Verdict(check, PASS, detail_ok)
 
 
 def check_same_vertices(analysis: Analysis) -> Verdict:
     """Nonabelian minimal normal subgroup forces V(G) = V_v(G)."""
-    if not any(not n.is_abelian()
-               for n in analysis.structure.minimal_normal_subgroups):
+    if all(abelian for _, abelian in analysis.report.minimal_normals):
         return Verdict("CHK-PROP", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     v_all = set(analysis.vanishing.size_primes)
@@ -156,8 +140,7 @@ def check_same_vertices(analysis: Analysis) -> Verdict:
 def check_missing_edge_solvability(analysis: Analysis) -> Verdict:
     """A missing vanishing-graph edge between class-size primes forces
     {p,q}-solvability, given a nonabelian minimal normal subgroup."""
-    if not any(not n.is_abelian()
-               for n in analysis.structure.minimal_normal_subgroups):
+    if all(abelian for _, abelian in analysis.report.minimal_normals):
         return Verdict("CHK-THMA", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     v_all = analysis.vanishing.size_primes
@@ -177,7 +160,7 @@ def check_missing_edge_solvability(analysis: Analysis) -> Verdict:
 def check_trivial_fitting(analysis: Analysis) -> Verdict:
     """Trivial Fitting subgroup forces V_v = pi(G) with a complete
     vanishing graph."""
-    if analysis.structure.fitting_subgroup.order != 1:
+    if analysis.report.fitting_order != 1:
         return Verdict("CHK-THMB", VACUOUS, "Fitting subgroup is nontrivial")
     primes = set(analysis.report.primes)
     v_van = set(analysis.vanishing.vanishing_size_primes)
@@ -200,8 +183,7 @@ def check_trivial_fitting(analysis: Analysis) -> Verdict:
 def check_noncomplete_vertex(analysis: Analysis) -> Verdict:
     """A prime that is not a complete vanishing-graph vertex forces
     p-solvability, given a nonabelian minimal normal subgroup."""
-    if not any(not n.is_abelian()
-               for n in analysis.structure.minimal_normal_subgroups):
+    if all(abelian for _, abelian in analysis.report.minimal_normals):
         return Verdict("CHK-COR", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     graph_v = analysis.vanishing.vanishing_graph
@@ -217,9 +199,11 @@ def check_noncomplete_vertex(analysis: Analysis) -> Verdict:
         f"p-solvable for every non-complete vertex in {loose}")
 
 
-def _unique_nonabelian_minimal(analysis: Analysis) -> Subgroup | None:
+def _unique_nonabelian_minimal(analysis: Analysis) -> frozenset[int] | None:
+    """The class set of the unique minimal normal subgroup, when there is
+    exactly one and it is nonabelian."""
     mins = analysis.structure.minimal_normal_subgroups
-    if len(mins) == 1 and not mins[0].is_abelian():
+    if len(mins) == 1 and not analysis.report.minimal_normals[0][1]:
         return mins[0]
     return None
 
@@ -232,12 +216,10 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
         return Verdict("CHK-L32", VACUOUS,
                        "no unique nonabelian minimal normal subgroup")
     sizes = analysis.classes.sizes
-    reps = analysis.classes.reps
     van = set(analysis.vanishing.vanishing_classes)
     missing = []
     for p in analysis.report.primes:
-        if not any(k in van and sizes[k] % p == 0 and reps[k] in m_sub
-                   for k in range(analysis.classes.count)):
+        if not any(k in van and sizes[k] % p == 0 for k in m_sub):
             missing.append(p)
     if missing:
         return Verdict("CHK-L32", FAIL,
@@ -248,30 +230,34 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
                    "pi(G) = V_v with all witnesses inside the socle")
 
 
-def _is_simple(group: PermGroup, caps: Caps) -> bool:
-    if group.order == 1:
-        return False
-    classes = conjugacy_classes(group, caps)
-    mins = GroupStructure(classes, caps).minimal_normal_subgroups
-    return len(mins) == 1 and mins[0].order == group.order
+def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
+    """Whether a nonabelian minimal normal subgroup M = T^k is simple,
+    that is k = 1.  M is simple iff every nontrivial G-class in M has
+    normal closure M inside M: for k > 1 a class meeting one factor T
+    closes to that factor.  M = G is simple with no test."""
+    if len(m_sub) == analysis.classes.count:
+        return True
+    reps = analysis.classes.reps
+    seeds = [reps[j] for j in sorted(m_sub) if j]
+    m_grp = normal_closure(analysis.group, seeds)
+    return all(normal_closure(m_grp, [r]).order == m_grp.order
+               for r in seeds)
 
 
 def check_almost_simple_edges(analysis: Analysis) -> Verdict:
     """In an almost simple group, every pair of prime divisors is an
     edge of the vanishing graph, witnessed inside the socle."""
     socle = _unique_nonabelian_minimal(analysis)
-    if socle is None or not _is_simple(socle.group, analysis.structure.caps):
+    if socle is None or not _is_simple(analysis, socle):
         return Verdict("CHK-P34", VACUOUS, "group is not almost simple")
     sizes = analysis.classes.sizes
-    reps = analysis.classes.reps
     van = set(analysis.vanishing.vanishing_classes)
     primes = analysis.report.primes
     bad = []
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
             if not any(k in van and sizes[k] % (p * q) == 0
-                       and reps[k] in socle
-                       for k in range(analysis.classes.count)):
+                       for k in socle):
                 bad.append([p, q])
     if bad:
         return Verdict("CHK-P34", FAIL,
@@ -333,21 +319,23 @@ def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
     """One configured instance: A abelian minimal normal, M/N a chief
     factor with |M/N| coprime to |A| and N = C_M(A); then everything in
     M but not in N must be vanishing."""
-    caps = analysis.structure.caps
+    caps = analysis.caps
     group = analysis.group
     p = config["p"]
     a_grp = _subgroup_from_cycles(group, config["a"])
     m_grp = _subgroup_from_cycles(group, config["m"])
     n_grp = _subgroup_from_cycles(group, config["n"])
-    a_sub = Subgroup(group, a_grp)
+    reps = analysis.classes.reps
     problems = []
     if not is_prime(p) or not is_prime_power(a_grp.order, p):
         problems.append(f"A is not a {p}-group")
     if normal_closure(group, a_grp.generators).order != a_grp.order:
         problems.append("A is not normal")
-    elif not a_sub.is_abelian():
+    elif any(a * b != b * a for a in a_grp.generators
+             for b in a_grp.generators):
         problems.append("A is not abelian")
-    elif not any(m.same_as(a_sub)
+    elif not any(analysis.structure.order(m) == a_grp.order
+                 and all(reps[j] in a_grp for j in m)
                  for m in analysis.structure.minimal_normal_subgroups):
         problems.append("A is not a minimal normal subgroup")
     if normal_closure(group, m_grp.generators).order != m_grp.order:
@@ -378,9 +366,7 @@ def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
                        + "; ".join(problems))
     van = set(analysis.vanishing.vanishing_classes)
     bad = [k for k in range(analysis.classes.count)
-           if analysis.classes.reps[k] in m_grp
-           and analysis.classes.reps[k] not in n_grp
-           and k not in van]
+           if reps[k] in m_grp and reps[k] not in n_grp and k not in van]
     if bad:
         return Verdict("CHK-C44", FAIL,
                        "non-vanishing classes inside M minus N",

@@ -102,25 +102,6 @@ def sqrt_mod(a: int, p: int) -> int:
 
 # -- matrices over F_p (lists of row lists) -------------------------------
 
-def mat_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b, p):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] = (oi[j] + c * bt[j]) % p
-    return out
-
-
 def mat_vec(a, v, p):
     return [sum(c * x for c, x in zip(row, v)) % p for row in a]
 

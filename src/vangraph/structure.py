@@ -1,9 +1,11 @@
-"""Conjugacy classes and the normal-subgroup machinery built on them.
+"""Conjugacy classes and the normal structure read off them.
 
-Covers: class enumeration by conjugation orbits, centres, normal
-closures, minimal normal subgroups, the Fitting subgroup, coset-action
-quotients, normal p-complements, p-solvability, derived series, and
-exhaustive setwise-stabilizer separations for small point sets.
+Covers: class enumeration by conjugation orbits, permutation-level
+normal closures and centralizers, and GroupStructure, which reads the
+centre, minimal normal subgroups, the Fitting subgroup, normal
+p-complements, a chief series, p-solvability and the derived subgroup
+off the character table as sets of class indices.  Also exhaustive
+setwise-stabilizer separations for small point sets.
 
 Everything is deterministic: classes are discovered in element
 enumeration order (identity first, so class 0 is always the identity
@@ -14,10 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import prod
+from typing import TYPE_CHECKING
 
 from .caps import Caps, CapExceeded, default_caps
 from .numth import is_prime_power, prime_divisors
 from .perms import Perm, PermGroup, commutator
+
+if TYPE_CHECKING:
+    from .dixon import CharacterTable
 
 
 @dataclass(frozen=True)
@@ -88,37 +95,7 @@ def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyCl
     return ConjugacyClasses(group, tuple(reps), tuple(sizes), tuple(class_of), tuple(power))
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup handle inside a fixed ambient group: the subgroup as its
-    own PermGroup plus the class indices that seeded it (when relevant)."""
-
-    ambient: PermGroup
-    group: PermGroup
-    seed_classes: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.group
-
-    def is_trivial(self) -> bool:
-        return self.group.order == 1
-
-    def is_abelian(self) -> bool:
-        gens = self.group.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(g in self.group for g in other.group.generators)
-
-    def same_as(self, other: "Subgroup") -> bool:
-        return self.order == other.order and self.contains_subgroup(other)
-
-
-def normal_closure(group: PermGroup, seeds, seed_classes: tuple[int, ...] = ()) -> Subgroup:
+def normal_closure(group: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of ``group`` containing the seeds:
     repeatedly conjugate current generators by the group generators and
     regenerate until closed."""
@@ -134,7 +111,7 @@ def normal_closure(group: PermGroup, seeds, seed_classes: tuple[int, ...] = ()) 
                     queued.add(c.images)
                     fresh.append(c)
         if not fresh:
-            return Subgroup(group, h, seed_classes)
+            return h
         gens.extend(fresh)
 
 
@@ -146,150 +123,147 @@ def centralizer(group: PermGroup, targets, caps: Caps | None = None) -> PermGrou
     return PermGroup(members, degree=group.degree)
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """Coset action of a group on a normal subgroup's right cosets."""
-
-    group: PermGroup          # the quotient as a permutation group on cosets
-    coset_reps: tuple[Perm, ...]
-
-    def project(self, g: Perm) -> Perm:
-        images = []
-        for rep in self.coset_reps:
-            images.append(self._coset_index[self._canon(rep * g)])
-        return Perm(tuple(images))
-
-    # filled by quotient_group
-    _canon: object = None
-    _coset_index: object = None
-
-
-def quotient_group(group: PermGroup, normal: Subgroup, caps: Caps | None = None) -> Quotient:
-    """Permutation action of group on the right cosets of a normal
-    subgroup.  Cosets are canonicalised by their minimal element, so the
-    construction is deterministic.  Raises CapExceeded when the index
-    exceeds the quotient degree cap."""
-    caps = caps or default_caps()
-    for h in normal.group.generators:
-        for g in group.generators:
-            if h.conjugate_by(g) not in normal.group:
-                raise ValueError("subgroup is not normal")
-    index = group.order // normal.order
-    if index > caps.quotient_degree_cap:
-        raise CapExceeded(f"index {index} exceeds quotient cap")
-    n_elements = normal.group.elements(caps)
-
-    def canon(x: Perm) -> tuple[int, ...]:
-        return min((n * x).images for n in n_elements)
-
-    reps: list[Perm] = [Perm.identity(group.degree)]
-    coset_index: dict[tuple[int, ...], int] = {canon(reps[0]): 0}
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        head += 1
-        for g in group.generators:
-            img = r * g
-            key = canon(img)
-            if key not in coset_index:
-                coset_index[key] = len(reps)
-                reps.append(img)
-    if len(reps) != index:
-        raise ArithmeticError("coset walk did not close correctly")
-
-    def project(g: Perm) -> Perm:
-        return Perm(tuple(coset_index[canon(r * g)] for r in reps))
-
-    qgens = [project(g) for g in group.generators]
-    q = Quotient(PermGroup(qgens, degree=index), tuple(reps))
-    object.__setattr__(q, "_canon", canon)
-    object.__setattr__(q, "_coset_index", coset_index)
-    return q
+def _is_abelian_chief_order(order: int) -> bool:
+    """Whether a chief factor or minimal normal subgroup of this order is
+    abelian: abelian ones are elementary abelian p-groups, nonabelian
+    ones are powers of a nonabelian simple group, whose order has at
+    least three prime divisors (Burnside's p^a q^b theorem)."""
+    return len(prime_divisors(order)) == 1
 
 
 class GroupStructure:
-    """Lazily computed structural invariants of one group.
+    """Normal structure of a group, read off its character table.
 
-    Holds a per-group cache of class normal closures, since the minimal
-    normal subgroup sweep, the Fitting subgroup and the p-nilpotency
-    test all reuse them.
+    A normal subgroup is a frozenset of class indices, always holding
+    class 0.  Every normal subgroup is the intersection of the kernels
+    of the irreducible characters whose kernels contain it, so the
+    normal closure of a class set is such an intersection, and every
+    search here runs over the k class indices, never over elements.
+    Only the derived series works on permutations; its second term is
+    checked against the table's derived subgroup.
     """
 
-    def __init__(self, classes: ConjugacyClasses, caps: Caps | None = None):
-        self.classes = classes
-        self.group = classes.group
-        self.caps = caps or default_caps()
-        self._closures: dict[int, Subgroup] = {}
+    def __init__(self, table: CharacterTable):
+        self.table = table
+        self.classes = table.classes
+        self.group = table.classes.group
+        self.kernels = tuple(
+            frozenset(j for j, v in enumerate(row) if v == d)
+            for d, row in zip(table.degrees, table.values))
 
-    def class_closure(self, k: int) -> Subgroup:
-        if k not in self._closures:
-            self._closures[k] = normal_closure(self.group, [self.classes.reps[k]], (k,))
-        return self._closures[k]
+    def order(self, normal: frozenset[int]) -> int:
+        return sum(self.classes.sizes[j] for j in normal)
 
-    @cached_property
-    def center(self) -> Subgroup:
-        reps = [self.classes.reps[k] for k, s in enumerate(self.classes.sizes) if s == 1]
-        return Subgroup(self.group, PermGroup(reps, degree=self.group.degree))
-
-    @cached_property
-    def minimal_normal_subgroups(self) -> tuple[Subgroup, ...]:
-        """Inclusion-minimal among the normal closures of single class
-        representatives; every minimal normal subgroup arises this way."""
-        distinct: list[Subgroup] = []
-        for k in range(1, self.classes.count):
-            n = self.class_closure(k)
-            if not any(n.same_as(d) for d in distinct):
-                distinct.append(n)
-        minimal = [n for n in distinct
-                   if not any(d.order < n.order and n.contains_subgroup(d) for d in distinct)]
-        minimal.sort(key=lambda s: (s.order, s.seed_classes))
-        return tuple(minimal)
+    def closure(self, seeds) -> frozenset[int]:
+        """Smallest normal subgroup containing the given classes.  The
+        trivial character's kernel holds every class, so the
+        intersection is never empty."""
+        seeds = frozenset(seeds)
+        return frozenset.intersection(
+            *(ker for ker in self.kernels if seeds <= ker))
 
     @cached_property
-    def fitting_subgroup(self) -> Subgroup:
-        """Join over primes p of O_p: each O_p is generated by the class
-        closures that turn out to be normal p-subgroups."""
-        gens: list[Perm] = []
-        for p in prime_divisors(self.group.order):
-            for k in range(1, self.classes.count):
-                if not is_prime_power(self.classes.reps[k].order(), p):
-                    continue
-                closure = self.class_closure(k)
-                if is_prime_power(closure.order, p):
-                    gens.extend(closure.group.generators)
-        return Subgroup(self.group, PermGroup(gens, degree=self.group.degree))
+    def class_closures(self) -> tuple[frozenset[int], ...]:
+        """The normal closure of each single class."""
+        return tuple(self.closure((j,)) for j in range(self.classes.count))
 
     @cached_property
-    def derived_series(self) -> tuple[Subgroup, ...]:
+    def center(self) -> frozenset[int]:
+        return frozenset(j for j, s in enumerate(self.classes.sizes) if s == 1)
+
+    @cached_property
+    def minimal_normal_subgroups(self) -> tuple[frozenset[int], ...]:
+        """Inclusion-minimal among the closures of single nontrivial
+        classes; every minimal normal subgroup arises this way.  Sorted
+        by order, then by smallest class index."""
+        closures = set(self.class_closures[1:])
+        minimal = [n for n in closures if not any(m < n for m in closures)]
+        return tuple(sorted(minimal, key=lambda n: (self.order(n), sorted(n))))
+
+    def largest_normal_p_subgroup(self, p: int) -> frozenset[int]:
+        """O_p(G): the join of the class closures that are p-groups."""
+        parts = [n for n in self.class_closures
+                 if is_prime_power(self.order(n), p)]
+        return self.closure(frozenset().union(*parts))
+
+    @cached_property
+    def fitting_subgroup(self) -> frozenset[int]:
+        """F(G), the join of O_p(G) over the primes p dividing |G|."""
+        return self.closure(frozenset().union(
+            *(self.largest_normal_p_subgroup(p)
+              for p in prime_divisors(self.group.order))))
+
+    @cached_property
+    def derived_subgroup(self) -> frozenset[int]:
+        """G', the intersection of the kernels of the linear characters."""
+        return frozenset.intersection(
+            *(ker for ker, d in zip(self.kernels, self.table.degrees)
+              if d == 1))
+
+    @cached_property
+    def derived_series(self) -> tuple[PermGroup, ...]:
         """G >= G' >= G'' >= ...; stops at 1 or at the first repeat (a
-        perfect term), which is included so the stall is visible."""
-        whole = Subgroup(self.group, self.group)
-        series = [whole]
+        perfect term), which is included so the stall is visible.
+        Raises ArithmeticError when |G'| disagrees with the table."""
+        series = [self.group]
         while True:
-            current = series[-1].group
+            current = series[-1]
             comms = [commutator(a, b)
                      for i, a in enumerate(current.generators)
                      for b in current.generators[i + 1:]]
             nxt = normal_closure(current, comms)
-            series.append(Subgroup(self.group, nxt.group))
+            series.append(nxt)
             if nxt.order == 1 or nxt.order == current.order:
-                return tuple(series)
+                break
+        if series[1].order != self.order(self.derived_subgroup):
+            raise ArithmeticError(
+                "derived subgroup order disagrees with the kernels of the"
+                " linear characters")
+        return tuple(series)
 
-    @property
-    def derived_subgroup(self) -> Subgroup:
-        return self.derived_series[1] if len(self.derived_series) > 1 else self.derived_series[0]
+    @cached_property
+    def chief_series(self) -> tuple[frozenset[int], ...]:
+        """1 = N_0 < N_1 < ... < N_r = G.  Each N_i is the smallest
+        closure of N_(i-1) plus one class, so no normal subgroup lies
+        strictly between the two and N_i / N_(i-1) is a chief factor."""
+        k = self.classes.count
+        series = [self.closure(())]
+        while len(series[-1]) < k:
+            current = series[-1]
+            series.append(min(
+                (self.closure(current | {j})
+                 for j in range(k) if j not in current),
+                key=self.order))
+        return tuple(series)
+
+    @cached_property
+    def chief_factors(self) -> tuple[int, ...]:
+        """Orders of the chief factors, bottom up.  Raises
+        ArithmeticError unless they multiply to |G|, which also
+        certifies that each term's order divides the next."""
+        orders = [self.order(n) for n in self.chief_series]
+        factors = tuple(b // a for a, b in zip(orders, orders[1:]))
+        if prod(factors) != self.group.order:
+            raise ArithmeticError(
+                "chief factor orders do not multiply to the group order")
+        return factors
 
     def is_solvable(self) -> bool:
-        return self.derived_series[-1].order == 1
+        return all(_is_abelian_chief_order(f) for f in self.chief_factors)
 
-    def normal_p_complement(self, p: int) -> Subgroup | None:
+    def p_solvable(self, p: int) -> bool:
+        """Every chief factor of order divisible by p is a p-group."""
+        return all(_is_abelian_chief_order(f)
+                   for f in self.chief_factors if f % p == 0)
+
+    def normal_p_complement(self, p: int) -> frozenset[int] | None:
         """The normal p-complement when the group is p-nilpotent, else
         None.  The subgroup generated by all p'-elements is normal and
         equals the complement exactly when p does not divide its order."""
-        seeds = [self.classes.reps[k] for k in range(self.classes.count)
-                 if self.classes.reps[k].order() % p != 0]
-        k_sub = normal_closure(self.group, seeds)
-        return k_sub if k_sub.order % p != 0 else None
+        seeds = [j for j, rep in enumerate(self.classes.reps)
+                 if rep.order() % p != 0]
+        k_sub = self.closure(seeds)
+        return k_sub if self.order(k_sub) % p != 0 else None
 
     def has_abelian_sylow(self, p: int) -> bool | None:
         """For p-nilpotent groups: Sylow p is isomorphic to G/K, which is
@@ -298,28 +272,7 @@ class GroupStructure:
         comp = self.normal_p_complement(p)
         if comp is None:
             return None
-        return all(g in comp.group for g in self.derived_subgroup.group.generators)
-
-    def p_solvable(self, p: int) -> bool:
-        return is_p_solvable(self.group, p, self.caps, classes=self.classes)
-
-
-def is_p_solvable(group: PermGroup, p: int, caps: Caps | None = None,
-                  classes: ConjugacyClasses | None = None) -> bool:
-    """Chief-series recursion: a nonabelian minimal normal subgroup of
-    order divisible by p kills p-solvability; otherwise the question
-    passes to the quotient.  Raises CapExceeded (indeterminate, distinct
-    from False) if a quotient is out of reach."""
-    caps = caps or default_caps()
-    if group.order == 1 or group.order % p != 0:
-        return True
-    classes = classes or conjugacy_classes(group, caps)
-    structure = GroupStructure(classes, caps)
-    n = structure.minimal_normal_subgroups[0]
-    if not n.is_abelian() and n.order % p == 0:
-        return False
-    q = quotient_group(group, n, caps)
-    return is_p_solvable(q.group, p, caps)
+        return self.derived_subgroup <= comp
 
 
 @dataclass(frozen=True)
@@ -341,25 +294,19 @@ class StructureReport:
 def structure_report(structure: GroupStructure) -> StructureReport:
     group = structure.group
     primes = prime_divisors(group.order)
-    p_nil = {}
-    p_solv = {}
-    for p in primes:
-        p_nil[p] = structure.normal_p_complement(p) is not None
-        try:
-            p_solv[p] = structure.p_solvable(p)
-        except CapExceeded:
-            p_solv[p] = None
+    mins = [structure.order(n) for n in structure.minimal_normal_subgroups]
     return StructureReport(
         order=group.order,
         degree=group.degree,
         primes=primes,
-        center_order=structure.center.order,
-        fitting_order=structure.fitting_subgroup.order,
-        minimal_normals=tuple((n.order, n.is_abelian()) for n in structure.minimal_normal_subgroups),
+        center_order=structure.order(structure.center),
+        fitting_order=structure.order(structure.fitting_subgroup),
+        minimal_normals=tuple((m, _is_abelian_chief_order(m)) for m in mins),
         derived_series_orders=tuple(s.order for s in structure.derived_series),
         is_solvable=structure.is_solvable(),
-        p_nilpotent=p_nil,
-        p_solvable=p_solv,
+        p_nilpotent={p: structure.normal_p_complement(p) is not None
+                     for p in primes},
+        p_solvable={p: structure.p_solvable(p) for p in primes},
     )
 
 

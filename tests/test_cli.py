@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from vangraph import cli
 from vangraph.cli import main
 
 
@@ -50,6 +51,22 @@ def test_check_exit_codes(capsys):
     assert "CHK-THMB PASS" in out
     code, _, _ = run(capsys, "check", "NOT_A_GROUP")
     assert code == 2
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    # 1 means a check FAILed; an internal consistency failure must not
+    # share that code
+    for exc in (ArithmeticError("table inconsistent"),
+                AssertionError("invariant broken")):
+        def boom(spec, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", boom)
+        code, out, err = run(capsys, "check", "S3")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert str(exc) in err
 
 
 def test_corpus_inline(capsys, tmp_path):

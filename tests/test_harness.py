@@ -5,10 +5,10 @@ import json
 import pytest
 
 from vangraph import harness
-from vangraph.caps import CapExceeded, Caps
+from vangraph.caps import CapExceeded
 from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               FAIL, INDETERMINATE, PASS, VACUOUS, Verdict,
-                              analyze, check_theorems, corpus_run,
+                              check_theorems, corpus_run,
                               load_corpus_config, report_dict,
                               validate_c44_config)
 
@@ -195,12 +195,6 @@ def test_load_corpus_config(tmp_path):
         load_corpus_config(path)
 
 
-def test_analyze_caps_produce_indeterminate():
-    # a cap that blocks p-solvability recursion must not fail the run
-    a = analyze("S3", Caps(quotient_degree_cap=1))
-    assert a.report.order == 6
-
-
 def test_indeterminate_on_cap(analyses, monkeypatch):
     def boom(analysis):
         raise CapExceeded("forced")
@@ -209,11 +203,3 @@ def test_indeterminate_on_cap(analyses, monkeypatch):
     (v,) = check_theorems(analyses("S3"), checks=["CHK-PROP"])
     assert v.status == INDETERMINATE
     assert "forced" in v.detail
-
-
-def test_granville_ono_reference_data():
-    data = harness.GRANVILLE_ONO_EXCEPTIONS
-    assert set(data) == {2, 3}
-    assert "Alt(n) for various n >= 7" in data[2]
-    assert "Alt(n) for various n >= 7" in data[3]
-    assert "M12" in data[2] and "Suz" in data[3]

@@ -2,16 +2,18 @@
 
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from vangraph import catalog
 from vangraph.caps import CapExceeded, Caps
+from vangraph.dixon import character_table
+from vangraph.harness import DEFAULT_CORPUS
 from vangraph.numth import prime_divisors
-from vangraph.perms import parse_cycles
+from vangraph.perms import PermGroup, parse_cycles
 from vangraph.structure import (GroupStructure, centralizer,
-                                conjugacy_classes, is_p_solvable,
-                                normal_closure, quotient_group,
+                                conjugacy_classes, normal_closure,
                                 separating_subsets, structure_report)
 
 
@@ -71,22 +73,72 @@ def test_power_and_inverse_class_maps():
     assert all(cls.inverse_class(j) == j for j in range(cls.count))
 
 
+def structure(spec):
+    return GroupStructure(character_table(conjugacy_classes(grp(spec))))
+
+
+def commute(gens):
+    return all(a * b == b * a for a in gens for b in gens)
+
+
 def test_normal_closure_in_s4():
     g = grp("S4")
-    cls = conjugacy_classes(g)
     assert normal_closure(g, [parse_cycles("(1 2)", 4)]).order == 24
     assert normal_closure(g, [parse_cycles("(1 2 3)", 4)]).order == 12
     v4 = normal_closure(g, [parse_cycles("(1 2)(3 4)", 4)])
     assert v4.order == 4
-    assert v4.is_abelian()
+    assert commute(v4.generators)
     assert not v4.is_trivial()
+
+
+def test_class_closures_match_normal_closures(analyses):
+    # the kernel intersection of each class against the permutation-level
+    # closure, over the whole default corpus
+    for spec in DEFAULT_CORPUS:
+        a = analyses(spec)
+        gs, cls = a.structure, a.classes
+        for j, rep in enumerate(cls.reps):
+            closed = normal_closure(a.group, [rep])
+            want = frozenset(k for k, r in enumerate(cls.reps) if r in closed)
+            assert gs.closure({0, j}) == want, (spec, j)
+            assert gs.order(want) == closed.order, (spec, j)
+
+
+def test_chief_factors_agree_with_derived_series(analyses):
+    for spec in DEFAULT_CORPUS:
+        gs = analyses(spec).structure
+        assert prod(gs.chief_factors) == gs.group.order, spec
+        series = gs.chief_series
+        assert series[0] == frozenset({0})
+        assert len(series[-1]) == gs.classes.count
+        assert all(a < b for a, b in zip(series, series[1:])), spec
+        assert gs.is_solvable() == (gs.derived_series[-1].order == 1), spec
+        assert gs.order(gs.derived_subgroup) == gs.derived_series[1].order
+
+
+def test_structure_certificates_raise():
+    # S4 has 5 classes of sizes 1, 6, 6, 8, 3 and G' = A4; widening the
+    # linear characters' kernels to everything claims G' = G
+    gs = structure("S4")
+    everything = frozenset(range(5))
+    gs.kernels = tuple(everything if d == 1 else ker
+                       for d, ker in zip(gs.table.degrees, gs.kernels))
+    with pytest.raises(ArithmeticError):
+        gs.derived_series
+    # a kernel of classes 0 and 1 is a "normal subgroup" of order 7
+    gs = structure("S4")
+    gs.kernels = (everything, frozenset({0, 1}))
+    with pytest.raises(ArithmeticError):
+        gs.chief_factors
 
 
 def test_center_orders():
     for spec, want in [("S4", 1), ("D8", 2), ("D12", 2), ("C6", 6),
                        ("A5", 1)]:
-        cls = conjugacy_classes(grp(spec))
-        assert GroupStructure(cls).center.order == want
+        gs = structure(spec)
+        assert gs.order(gs.center) == want
+        reps = [gs.classes.reps[j] for j in gs.center]
+        assert all(z * g == g * z for z in reps for g in gs.group.generators)
 
 
 def test_minimal_normal_subgroups():
@@ -98,56 +150,66 @@ def test_minimal_normal_subgroups():
         "D12": [(2, True), (3, True)],
         "C2 x A5": [(2, True), (60, False)],
         "A5 x A5": [(60, False), (60, False)],
+        "S4 x A5": [(4, True), (60, False)],
     }
     for spec, want in cases.items():
-        cls = conjugacy_classes(grp(spec))
-        mins = GroupStructure(cls).minimal_normal_subgroups
-        got = sorted((m.order, m.is_abelian()) for m in mins)
-        assert got == sorted(want), spec
+        gs = structure(spec)
+        got = []
+        for m in gs.minimal_normal_subgroups:
+            sub = normal_closure(gs.group, [gs.classes.reps[j] for j in m])
+            assert sub.order == gs.order(m), spec
+            got.append((sub.order, commute(sub.generators)))
+        assert sorted(got) == sorted(want), spec
+        rep = structure_report(gs)
+        assert sorted(rep.minimal_normals) == sorted(want), spec
 
 
 def test_minimal_normals_are_minimal():
     for spec in ("S4", "S5", "C6", "D12", "C2 x A5"):
-        cls = conjugacy_classes(grp(spec))
-        gs = GroupStructure(cls)
+        gs = structure(spec)
         mins = gs.minimal_normal_subgroups
         for m in mins:
             for other in mins:
                 if other is not m:
-                    assert not m.contains_subgroup(other)
-            # closure of any nontrivial element is the whole subgroup
-            for x in m.group.elements():
-                if not x.is_identity():
-                    assert gs.class_closure(cls.class_of(x)).same_as(m)
+                    assert not other <= m
+            # closure of any nontrivial class is the whole subgroup
+            for j in m - {0}:
+                assert gs.closure({j}) == m
+                closed = normal_closure(gs.group, [gs.classes.reps[j]])
+                assert closed.order == gs.order(m)
 
 
 def test_fitting_subgroup():
     for spec, want in [("S4", 4), ("S3", 3), ("D8", 8), ("D12", 6),
                        ("A5", 1), ("A4", 4), ("C12", 12)]:
-        cls = conjugacy_classes(grp(spec))
-        assert GroupStructure(cls).fitting_subgroup.order == want, spec
+        gs = structure(spec)
+        assert gs.order(gs.fitting_subgroup) == want, spec
 
 
 def test_fitting_is_nilpotent_and_normal():
     for spec in ("S4", "D12", "S3 x A5"):
         g = grp(spec)
-        cls = conjugacy_classes(g)
-        fit = GroupStructure(cls).fitting_subgroup
-        sub = fit.group
-        # normal: closed under conjugation by ambient generators
-        for x in sub.elements():
+        gs = structure(spec)
+        fit = gs.fitting_subgroup
+        members = [x for x in g.elements() if gs.classes.class_of(x) in fit]
+        sub = PermGroup(members, degree=g.degree)
+        # the class set is a subgroup, normal because it is a union of
+        # classes
+        assert sub.order == len(members) == gs.order(fit)
+        for x in sub.generators:
             for h in g.generators:
                 assert x.conjugate_by(h) in sub
-        # nilpotent here is checked through the derived series reaching 1
-        # plus every Sylow being characteristic-by-order (abelian factors)
-        fcls = conjugacy_classes(sub)
-        assert GroupStructure(fcls).is_solvable()
+        # nilpotent: the subgroup is its own Fitting subgroup
+        inner = GroupStructure(character_table(conjugacy_classes(sub)))
+        assert inner.order(inner.fitting_subgroup) == sub.order
 
 
 def test_derived_series():
     def orders(spec):
-        cls = conjugacy_classes(grp(spec))
-        return [s.order for s in GroupStructure(cls).derived_series]
+        gs = structure(spec)
+        series = [s.order for s in gs.derived_series]
+        assert gs.order(gs.derived_subgroup) == series[1]
+        return series
 
     assert orders("S4") == [24, 12, 4, 1]
     assert orders("S3") == [6, 3, 1]
@@ -159,8 +221,7 @@ def test_solvability():
     solvable = {"S3": True, "S4": True, "A4": True, "D12": True, "C12": True,
                 "A5": False, "S5": False, "PSL(2,7)": False}
     for spec, want in solvable.items():
-        cls = conjugacy_classes(grp(spec))
-        assert GroupStructure(cls).is_solvable() is want, spec
+        assert structure(spec).is_solvable() is want, spec
 
 
 def test_p_nilpotency():
@@ -172,10 +233,9 @@ def test_p_nilpotency():
         "C6": {2: True, 3: True},
     }
     for spec, want in cases.items():
-        cls = conjugacy_classes(grp(spec))
-        gs = GroupStructure(cls)
+        gs = structure(spec)
         got = {p: gs.normal_p_complement(p) is not None
-               for p in prime_divisors(cls.group.order)}
+               for p in prime_divisors(gs.group.order)}
         assert got == want, spec
 
 
@@ -184,48 +244,43 @@ def test_p_solvability():
                        ("A5", {2: False, 3: False, 5: False}),
                        ("S5", {2: False, 3: False, 5: False}),
                        ("C2 x A5", {2: False, 3: False, 5: False}),
-                       ("PSL(2,7)", {2: False, 3: False, 7: False})]:
-        g = grp(spec)
-        got = {p: is_p_solvable(g, p) for p in prime_divisors(g.order)}
+                       ("PSL(2,7)", {2: False, 3: False, 7: False}),
+                       ("S4 x A5", {2: False, 3: False, 5: False}),
+                       ("C7 x A5", {2: False, 3: False, 5: False, 7: True})]:
+        gs = structure(spec)
+        got = {p: gs.p_solvable(p) for p in prime_divisors(gs.group.order)}
         assert got == want, spec
 
 
 def test_solvable_iff_p_solvable_for_all_p():
     for spec in ("S3", "S4", "A4", "A5", "S5", "D12", "C12", "PSL(2,5)"):
-        g = grp(spec)
-        cls = conjugacy_classes(g)
-        solv = GroupStructure(cls).is_solvable()
-        assert solv == all(is_p_solvable(g, p)
-                           for p in prime_divisors(g.order)), spec
+        gs = structure(spec)
+        assert gs.is_solvable() == all(
+            gs.p_solvable(p) for p in prime_divisors(gs.group.order)), spec
 
 
 def test_p_not_dividing_order_is_trivially_good():
-    g = grp("S4")
-    cls = conjugacy_classes(g)
-    gs = GroupStructure(cls)
-    assert is_p_solvable(g, 7)
+    gs = structure("S4")
+    assert gs.p_solvable(7)
     comp = gs.normal_p_complement(7)
-    assert comp is not None and comp.order == 24
+    assert comp is not None and gs.order(comp) == 24
 
 
-def test_quotient_group():
-    g = grp("S4")
-    cls = conjugacy_classes(g)
-    gs = GroupStructure(cls)
-    v4 = [m for m in gs.minimal_normal_subgroups if m.order == 4][0]
-    q = quotient_group(g, v4)
-    assert q.group.order == 6
-    qcls = conjugacy_classes(q.group)
-    assert sorted(qcls.sizes) == [1, 2, 3]
+def test_quotient_classes(quotient_classes):
+    # S4 / V4 is S3, read off the rows whose kernel contains V4
+    gs = structure("S4")
+    (v4,) = gs.minimal_normal_subgroups
+    assert gs.order(v4) == 4
+    quotient = quotient_classes(gs, v4)
+    assert sorted(size for _, size, _ in quotient) == [1, 2, 3]
     # size of (xN)^(G/N) divides the size of x^G
-    for x in g.elements():
-        down = q.project(x)
-        qsize = qcls.sizes[qcls.class_of(down)]
-        assert cls.sizes[cls.class_of(x)] % qsize == 0
+    for members, size, _ in quotient:
+        for j in members:
+            assert gs.classes.sizes[j] % size == 0
 
 
 def test_structure_report_shape():
-    rep = structure_report(GroupStructure(conjugacy_classes(grp("S3"))))
+    rep = structure_report(structure("S3"))
     assert rep.order == 6
     assert rep.primes == (2, 3)
     assert rep.center_order == 1
