@@ -7,7 +7,7 @@ from .catalog import SpecError, catalog_group
 from .cyclo import Cyc, cyclotomic_poly
 from .deleted import (act, distinct_coordinate_vector, group_order,
                       orbit_census, orbit_size, stabilizer)
-from .dixon import CharacterTable, character_table, class_constants
+from .dixon import CharacterTable, character_table, class_matrix
 from .harness import (Analysis, CorpusResult, DEFAULT_C44_CONFIGS,
                       DEFAULT_CORPUS, Verdict, analyze, check_theorems,
                       corpus_run, report_dict)
@@ -30,7 +30,7 @@ __all__ = [
     "CorpusResult", "Cyc", "DEFAULT_C44_CONFIGS", "DEFAULT_CORPUS",
     "GroupStructure", "Perm", "PermGroup", "PrimeGraph", "SeparationAnomaly",
     "SpecError", "VanishingReport", "Verdict", "act", "analyze",
-    "catalog_group", "character_table", "check_theorems", "class_constants",
+    "catalog_group", "character_table", "check_theorems", "class_matrix",
     "commutator", "conjugacy_classes", "conjugate", "corpus_run",
     "cycle_perm", "cyclotomic_poly", "default_caps", "degree",
     "distinct_coordinate_vector", "dot_text", "group_order", "is_complete",

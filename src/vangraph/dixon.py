@@ -1,9 +1,10 @@
 """Exact character tables of finite groups by Dixon's modular method.
 
-Pipeline: class multiplication constants -> simultaneous eigenspace
-splitting of the class matrices over a prime field F_l (l = 1 mod the
-group exponent, l squared beyond four times the order) -> normalisation
-via orthogonality to recover the mod-l characters and their degrees ->
+Pipeline: simultaneous eigenspace splitting over a prime field F_l
+(l = 1 mod the group exponent, l squared beyond four times the order)
+by class matrices built one at a time, only while a space is still
+wider than a line -> the mod-l characters read off the common
+eigenvectors, with degrees from the orthogonality norm ->
 exact lift to cyclotomic integers through a discrete Fourier transform
 over the power map.
 
@@ -27,39 +28,23 @@ from .structure import ConjugacyClasses
 _SPLIT_SEED = 0x0D15C0
 
 
-@dataclass(frozen=True)
-class ClassConstants:
-    """a[i][j][k] counts the ways the fixed representative of class k
-    factors as x * y with x in class i, y in class j."""
-
-    table: tuple  # table[k][i][j]
-
-    def value(self, i: int, j: int, k: int) -> int:
-        return self.table[k][i][j]
-
-    @property
-    def count(self) -> int:
-        return len(self.table)
-
-
-def class_constants(classes: ConjugacyClasses, caps: Caps | None = None) -> ClassConstants:
-    """One sweep over the group per target class: for z fixed and every x,
-    x^-1 * z lands in the class that pairs with x's class."""
-    caps = caps or default_caps()
+def class_matrix(classes: ConjugacyClasses, i: int,
+                 caps: Caps | None = None) -> list[list[int]]:
+    """Multiplication by the class sum K_i on the class-sum basis:
+    entry [r][c] counts the x in class i with x^-1 * rep_r in class c,
+    which is the class constant a[i][c][r].  Costs |C_i| * k products."""
     group = classes.group
     elements = group.elements(caps)
     class_of = classes.class_of_element
     k = classes.count
-    inverses = [g.inverse() for g in elements]
-    table = []
-    for t in range(k):
-        z = classes.reps[t]
-        plane = [[0] * k for _ in range(k)]
-        for eid, xinv in enumerate(inverses):
-            j = class_of[group.element_id(xinv * z)]
-            plane[class_of[eid]][j] += 1
-        table.append(tuple(tuple(row) for row in plane))
-    return ClassConstants(tuple(table))
+    mat = [[0] * k for _ in range(k)]
+    for x, cx in zip(elements, class_of):
+        if cx != i:
+            continue
+        xinv = x.inverse()
+        for r, rep in enumerate(classes.reps):
+            mat[r][class_of[group.element_id(xinv * rep, caps)]] += 1
+    return mat
 
 
 def group_exponent(classes: ConjugacyClasses) -> int:
@@ -94,8 +79,8 @@ class CharacterTable:
         return frozenset(j for j, v in enumerate(self.values[i]) if v.is_zero())
 
 
-def character_table(classes: ConjugacyClasses, caps: Caps | None = None,
-                    constants: ClassConstants | None = None) -> CharacterTable:
+def character_table(classes: ConjugacyClasses,
+                    caps: Caps | None = None) -> CharacterTable:
     caps = caps or default_caps()
     k = classes.count
     if k > caps.table_class_cap:
@@ -105,14 +90,8 @@ def character_table(classes: ConjugacyClasses, caps: Caps | None = None,
         one = Cyc.integer(1)
         return CharacterTable(classes, (1,), ((one,),), 3)
 
-    constants = constants or class_constants(classes, caps)
     exponent = group_exponent(classes)
     ell = dixon_prime(order, exponent)
-    # multiplication-by-class-sum matrices: column c of M_i holds a[i][c][*]
-    mats = []
-    for i in range(k):
-        mats.append([[constants.value(i, c, r) % ell for c in range(k)] for r in range(k)])
-
     rng = random.Random(_SPLIT_SEED)
     spaces = [[_unit_vector(k, j) for j in range(k)]]  # list of column bases
 
@@ -143,49 +122,36 @@ def character_table(classes: ConjugacyClasses, caps: Caps | None = None,
             raise ArithmeticError("class matrix restriction was not diagonalisable")
         return out
 
+    # l does not divide |G|, so the class algebra over F_l is split
+    # semisimple: once every class matrix has been applied, each common
+    # eigenspace is a line.
     for i in range(1, k):
         if all(len(s) == 1 for s in spaces):
             break
+        mat = [[a % ell for a in row] for row in class_matrix(classes, i, caps)]
         nxt = []
         for space in spaces:
             if len(space) == 1:
                 nxt.append(space)
             else:
-                nxt.extend(refine(space, mats[i]))
+                nxt.extend(refine(space, mat))
         spaces = nxt
+    if not all(len(s) == 1 for s in spaces):
+        raise ArithmeticError("eigenspace splitting failed to separate characters")
 
-    attempts = 0
-    while not all(len(s) == 1 for s in spaces):
-        # commuting family should have split already; fall back to random
-        # combinations before giving up
-        attempts += 1
-        if attempts > 8:
-            raise ArithmeticError("eigenspace splitting failed to separate characters")
-        coeffs = [rng.randrange(ell) for _ in range(k)]
-        mix = [[sum(c * mats[i][r][cc] for i, c in enumerate(coeffs)) % ell
-                for cc in range(k)] for r in range(k)]
-        nxt = []
-        for space in spaces:
-            if len(space) == 1:
-                nxt.append(space)
-            else:
-                nxt.extend(refine(space, mix))
-        spaces = nxt
-
+    # each line is spanned by v with v[j] proportional to chi(rep_j^-1),
+    # so chi(rep_j) / chi(1) = v[inv j] / v[0], and the first
+    # orthogonality relation gives sum |C_j| |ratio_j|^2 = |G| / chi(1)^2
     sizes = classes.sizes
-    inv_sizes = [pow(s, -1, ell) for s in sizes]
     inv_class = [classes.inverse_class(j) for j in range(k)]
     theta_rows = []
     degrees = []
-    for space in spaces:
-        v = space[0]
-        pivot = next(t for t in range(k) if v[t])
-        vinv = pow(v[pivot], -1, ell)
-        omegas = []
-        for i in range(k):
-            mv = mat_vec(mats[i], v, ell)
-            omegas.append(mv[pivot] * vinv % ell)
-        norm = sum(omegas[j] * omegas[inv_class[j]] % ell * inv_sizes[j]
+    for (v,) in spaces:
+        if not v[0]:
+            raise ArithmeticError("common eigenvector vanishes at the identity class")
+        v0_inv = pow(v[0], -1, ell)
+        ratio = [v[inv_class[j]] * v0_inv % ell for j in range(k)]
+        norm = sum(sizes[j] * ratio[j] * ratio[inv_class[j]]
                    for j in range(k)) % ell
         d_sq = order * pow(norm, -1, ell) % ell
         d = sqrt_mod(d_sq, ell)
@@ -193,7 +159,7 @@ def character_table(classes: ConjugacyClasses, caps: Caps | None = None,
             d = ell - d
         if d == 0 or d * d > order:
             raise ArithmeticError("impossible character degree from normalisation")
-        theta = [d * omegas[j] % ell * inv_sizes[j] % ell for j in range(k)]
+        theta = [d * r % ell for r in ratio]
         degrees.append(d)
         theta_rows.append(theta)
 

@@ -77,7 +77,7 @@ def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyCl
             x = elements[frontier.pop()]
             for g, ginv in gen_invs:
                 y = ginv * x * g
-                yid = group.element_id(y)
+                yid = group.element_id(y, caps)
                 if class_of[yid] < 0:
                     class_of[yid] = k
                     count += 1
@@ -89,7 +89,7 @@ def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyCl
         acc = Perm.identity(group.degree)
         row = []
         for _ in range(m):
-            row.append(class_of[group.element_id(acc)])
+            row.append(class_of[group.element_id(acc, caps)])
             acc = acc * rep
         power.append(tuple(row))
     return ConjugacyClasses(group, tuple(reps), tuple(sizes), tuple(class_of), tuple(power))

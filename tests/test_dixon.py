@@ -1,10 +1,12 @@
 """Exact character tables via eigenvector splitting over F_l."""
 
-import random
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vangraph import catalog
 from vangraph.cyclo import Cyc
-from vangraph.dixon import character_table, class_constants, dixon_prime
+from vangraph.dixon import character_table, class_matrix, dixon_prime
+from vangraph.perms import Perm, PermGroup
 from vangraph.structure import conjugacy_classes
 
 DEGREES = {
@@ -109,36 +111,65 @@ def test_dixon_prime_choice():
     assert dixon_prime(60, 30) == 31
 
 
-def test_class_constants_row_sums():
+def structure_constants(cls):
+    """a[i][j][k] for every i, j, k, read off the class matrices."""
+    mats = [class_matrix(cls, i) for i in range(cls.count)]
+    return lambda i, j, k: mats[i][k][j]
+
+
+def test_class_matrix_row_sums():
     cls = conjugacy_classes(catalog.catalog_group("S4"))
-    cc = class_constants(cls)
+    a = structure_constants(cls)
     n = cls.count
+    elements = cls.group.elements()
     for i in range(n):
         for j in range(n):
-            total = sum(cc.value(i, j, k) * cls.sizes[k] for k in range(n))
+            total = sum(a(i, j, k) * cls.sizes[k] for k in range(n))
             assert total == cls.sizes[i] * cls.sizes[j]
+        # each x in class i sends rep_k to exactly one class
+        for k in range(n):
+            assert sum(a(i, j, k) for j in range(n)) == cls.sizes[i]
+    # independent count: pairs (x, y) in C_i x C_j with x * y = rep_k
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                want = sum(1 for x in elements if cls.class_of(x) == i
+                           for y in elements if cls.class_of(y) == j
+                           and x * y == cls.reps[k])
+                assert a(i, j, k) == want, (i, j, k)
 
 
-def test_class_constants_match_characters():
+def test_class_matrix_match_characters():
     # |C_i| x_i * |C_j| x_j = deg * sum_k a_ijk |C_k| x_k on every row
     spec = "A5"
     cls = conjugacy_classes(catalog.catalog_group(spec))
-    cc = class_constants(cls)
-    t = character_table(cls, constants=cc)
+    a = structure_constants(cls)
+    t = character_table(cls)
     n = cls.count
-    rng = random.Random(5)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(10)]
-    for i, j in pairs:
-        for r in range(n):
-            row = t.row(r)
-            left = (Cyc.integer(cls.sizes[i]) * row[i]
-                    * Cyc.integer(cls.sizes[j]) * row[j])
-            right = Cyc.integer(0)
-            for k in range(n):
-                right = right + Cyc.integer(cc.value(i, j, k)
-                                            * cls.sizes[k]) * row[k]
-            right = Cyc.integer(t.degrees[r]) * right
-            assert (left - right).is_zero(), (i, j, r)
+    for i in range(n):
+        for j in range(n):
+            for r in range(n):
+                row = t.row(r)
+                left = (Cyc.integer(cls.sizes[i]) * row[i]
+                        * Cyc.integer(cls.sizes[j]) * row[j])
+                right = Cyc.integer(0)
+                for k in range(n):
+                    right = right + Cyc.integer(a(i, j, k)
+                                                * cls.sizes[k]) * row[k]
+                right = Cyc.integer(t.degrees[r]) * right
+                assert (left - right).is_zero(), (i, j, r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)))))
+def test_random_two_generator_tables(images):
+    group = PermGroup([Perm(tuple(im)) for im in images],
+                      degree=len(images[0]))
+    t = character_table(conjugacy_classes(group))
+    assert len(t.degrees) == len(t.values) == t.classes.count
+    assert all(group.order % d == 0 for d in t.degrees)
+    assert sum(d * d for d in t.degrees) == group.order
 
 
 def vanishing_columns(t):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from vangraph import harness
-from vangraph.caps import CapExceeded
+from vangraph.caps import CapExceeded, Caps
 from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               FAIL, INDETERMINATE, PASS, VACUOUS, Verdict,
                               check_theorems, corpus_run,
@@ -203,3 +203,13 @@ def test_indeterminate_on_cap(analyses, monkeypatch):
     (v,) = check_theorems(analyses("S3"), checks=["CHK-PROP"])
     assert v.status == INDETERMINATE
     assert "forced" in v.detail
+
+
+def test_explicit_caps_override_environment(analyses, monkeypatch):
+    # every stage of the analysis uses the caps it is given, not the
+    # environment's default enumeration cap
+    want = analyses("S5").table.degrees
+    monkeypatch.setenv("VG_ENUM_CAP", "100")
+    with pytest.raises(CapExceeded):
+        harness.analyze("S5")
+    assert harness.analyze("S5", Caps(enum_cap=1000)).table.degrees == want

@@ -8,7 +8,7 @@ import pytest
 
 from vangraph import catalog
 from vangraph.caps import CapExceeded, Caps
-from vangraph.dixon import character_table
+from vangraph.dixon import character_table, class_matrix
 from vangraph.harness import DEFAULT_CORPUS
 from vangraph.numth import prime_divisors
 from vangraph.perms import PermGroup, parse_cycles
@@ -102,6 +102,29 @@ def test_class_closures_match_normal_closures(analyses):
             want = frozenset(k for k, r in enumerate(cls.reps) if r in closed)
             assert gs.closure({0, j}) == want, (spec, j)
             assert gs.order(want) == closed.order, (spec, j)
+
+
+def test_class_closures_match_class_products(analyses):
+    # close {0, j} under products: C_k lies in C_a C_b iff a_abk > 0
+    for spec in DEFAULT_CORPUS:
+        a = analyses(spec)
+        cls = a.classes
+        mats = {}
+
+        def products(x, y):
+            if x not in mats:
+                mats[x] = class_matrix(cls, x)
+            return {k for k in range(cls.count) if mats[x][k][y] > 0}
+
+        for j in range(cls.count):
+            closed = {0, j}
+            while True:
+                grown = closed.union(*(products(x, y)
+                                       for x in closed for y in closed))
+                if grown == closed:
+                    break
+                closed = grown
+            assert frozenset(closed) == a.structure.class_closures[j], (spec, j)
 
 
 def test_chief_factors_agree_with_derived_series(analyses):
