@@ -6,17 +6,25 @@ permutation shuffles coordinates, (v.(l,x))_i = l * v[x^-1(i)].  The
 characteristic must exceed n so D is irreducible and the action story
 is clean.
 
-The orbit census encodes each vector as a dense integer (mixed radix
-over the first n-1 coordinates; the last one is forced by the zero-sum
-constraint) and sweeps the whole space with numpy index maps, one per
-generator.  Everything else is exhaustive and checked.
+The orbit census counts orbits from coordinate multisets instead of
+visiting vectors.  An orbit of S = F_q^x X S_n is the scalar class
+{lM} of a multiset M of n values with sum zero; it holds
+n!/prod(m_c!) * |{lM}| vectors, m_c the multiplicity of c in M.  G has
+index 2 in S, so an S-orbit is one G-orbit, or two G-orbits of half the
+size exactly when Stab_S(v) lies in G.  A repeated coordinate puts a
+transposition in the stabilizer, so that orbit stays whole.  With
+distinct coordinates the stabilizer is cyclic of order
+d = (q-1)/|{lM}|; its generator permutes the n-z nonzero coordinates
+(z = 1 if 0 is in M, else 0) in cycles of length d, so the orbit splits
+iff (d-1)(n-z)/d is even.  The census is certified by its sizes
+covering all q^(n-1) vectors.  Everything else is exhaustive and
+checked.
 """
 from __future__ import annotations
 
-from itertools import permutations
-from math import factorial
-
-import numpy as np
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
 
 from .caps import CapExceeded, Caps, default_caps
 from .numth import is_prime, primitive_root
@@ -118,43 +126,6 @@ def module_generators(n: int, q: int) -> list[tuple[int, Perm]]:
     return [(root, Perm.identity(n)), (1, three), (1, big)]
 
 
-def _index_maps(n: int, q: int,
-                gens: list[tuple[int, Perm]]) -> list[np.ndarray]:
-    """One array per generator g mapping vector index to the index of
-    the image vector.  Index encoding: little-endian base q over the
-    first n-1 coordinates; the last coordinate is determined."""
-    size = q ** (n - 1)
-    idx = np.arange(size, dtype=np.int64)
-    coords = []
-    total = np.zeros(size, dtype=np.int16)
-    for j in range(n - 1):
-        d = ((idx // q ** j) % q).astype(np.int16)
-        coords.append(d)
-        total += d
-    coords.append((-total) % q)
-    maps = []
-    for scalar, x in gens:
-        inv = x.inverse().images
-        out = np.zeros(size, dtype=np.int64)
-        for j in range(n - 1):
-            out += (scalar * coords[inv[j]] % q).astype(np.int64) * q ** j
-        maps.append(out)
-    return maps
-
-
-def encode(v, n: int, q: int) -> int:
-    return sum(int(v[j]) * q ** j for j in range(n - 1))
-
-
-def decode(index: int, n: int, q: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(n - 1):
-        index, c = divmod(index, q)
-        coords.append(c)
-    coords.append((-sum(coords)) % q)
-    return tuple(coords)
-
-
 def orbit_census(n: int, q: int,
                  caps: Caps | None = None
                  ) -> tuple[list[tuple[int, int]], bool]:
@@ -168,30 +139,32 @@ def orbit_census(n: int, q: int,
     size = q ** (n - 1)
     if size > caps.census_vectors_cap:
         raise CapExceeded(f"{size} vectors exceeds the census bound")
-    maps = _index_maps(n, q, module_generators(n, q))
-    visited = np.zeros(size, dtype=bool)
-    sizes: dict[int, int] = {}
-    start = 0
-    while start < size:
-        if visited[start]:
-            start += 1
+    if n < 3:
+        raise ValueError("need n >= 3")
+    sizes: Counter[int] = Counter()
+    seen: set[tuple[int, ...]] = set()
+    for multiset in combinations_with_replacement(range(q), n):
+        if sum(multiset) % q or multiset in seen:
             continue
-        visited[start] = True
-        frontier = np.array([start], dtype=np.int64)
-        orbit = 1
-        while frontier.size:
-            images = np.concatenate([m[frontier] for m in maps])
-            images = np.unique(images)
-            fresh = images[~visited[images]]
-            visited[fresh] = True
-            orbit += fresh.size
-            frontier = fresh
-        sizes[orbit] = sizes.get(orbit, 0) + 1
+        scalar_class = {tuple(sorted(l * c % q for c in multiset))
+                        for l in range(1, q)}
+        seen |= scalar_class
+        mult = Counter(multiset).values()
+        orbit = (factorial(n) // prod(factorial(m) for m in mult)
+                 * len(scalar_class))
+        d = (q - 1) // len(scalar_class)
+        nonzero = n - (0 in multiset)
+        if max(mult) == 1 and (d - 1) * (nonzero // d) % 2 == 0:
+            sizes[orbit // 2] += 2
+        else:
+            sizes[orbit] += 1
     total = group_order(n, q)
     census = sorted(sizes.items())
     for orbit, _ in census:
         if total % orbit:
             raise AssertionError(f"orbit size {orbit} does not divide {total}")
+    if sum(orbit * count for orbit, count in census) != size:
+        raise AssertionError(f"orbits do not cover the {size} vectors")
     return census, any(orbit == total for orbit, _ in census)
 
 

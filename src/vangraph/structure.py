@@ -47,7 +47,10 @@ class ConjugacyClasses:
         return len(self.reps)
 
     def class_of(self, g: Perm) -> int:
-        return self.class_of_element[self.group.element_id(g)]
+        # the classes were built from the whole enumeration, so the
+        # lookup must not check an enumeration cap again
+        caps = Caps(enum_cap=self.group.order)
+        return self.class_of_element[self.group.element_id(g, caps)]
 
     def power_class(self, k: int, e: int) -> int:
         row = self._power[k]

@@ -1,10 +1,11 @@
 """Command-line interface contract."""
 
+import itertools
 import json
 import subprocess
 import sys
 
-from vangraph import cli
+from vangraph import cli, deleted
 from vangraph.cli import main
 
 
@@ -119,6 +120,22 @@ def test_modorbit(capsys, tmp_path):
 def test_modorbit_bad_field(capsys):
     code, _, _ = run(capsys, "modorbit", "--n", "5", "--q", "4")
     assert code == 2
+
+
+def test_modorbit_uncovered_census_exits_3(capsys, monkeypatch):
+    # dropping the zero multiset loses one vector; every orbit size
+    # still divides the group order, so only the covering certificate
+    # can catch it
+    def all_but_zero(values, n):
+        return itertools.islice(
+            itertools.combinations_with_replacement(values, n), 1, None)
+
+    monkeypatch.setattr(deleted, "combinations_with_replacement",
+                        all_but_zero)
+    code, out, err = run(capsys, "modorbit", "--n", "3", "--q", "5")
+    assert code == 3
+    assert out == ""
+    assert "do not cover the 25 vectors" in err
 
 
 def test_sepsets(capsys):

@@ -2,10 +2,10 @@
 
 import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from vangraph.caps import CapExceeded, Caps
 from vangraph.deleted import (act, census_csv, check_vector,
@@ -36,6 +36,8 @@ def test_field_constraints():
         distinct_coordinate_vector(5, 4)    # q must be prime
     with pytest.raises(ValueError):
         orbit_census(5, 5)                  # q must exceed n
+    with pytest.raises(ValueError):
+        orbit_census(2, 5)                  # n must be at least 3
 
 
 def test_distinct_coordinate_vector():
@@ -152,11 +154,36 @@ def test_census_csv():
     assert text == "orbit_size,count\n1,1\n12,2\n"
 
 
-@given(st.integers(0, 6 ** 4 - 1))
-def test_encode_decode_round_trip(index):
-    from vangraph.deleted import decode, encode
-    n, q = 5, 7
-    rng = random.Random(index)
-    v = tuple(rng.randrange(q) for _ in range(n - 1))
-    v = v + ((-sum(v)) % q,)
-    assert decode(encode(v, n, q), n, q) == v
+def _census_by_closure(n, q):
+    """Census by closing every vector under the module generators."""
+    gens = module_generators(n, q)
+    seen = set()
+    sizes = Counter()
+    for head in product(range(q), repeat=n - 1):
+        v = head + ((-sum(head)) % q,)
+        if v in seen:
+            continue
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for scalar, x in gens:
+                    u = act(w, scalar, x, q)
+                    if u not in orbit:
+                        orbit.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        seen |= orbit
+        sizes[len(orbit)] += 1
+    census = sorted(sizes.items())
+    return census, any(size == group_order(n, q) for size, _ in census)
+
+
+def test_orbit_census_matches_brute_force():
+    # the pairs cover a repeated coordinate, distinct coordinates whose
+    # orbit splits ((3,7), (4,7)), distinct coordinates whose orbit
+    # stays whole with scalar stabilizers of order 2, 4 and 6 ((3,5),
+    # (4,5), (6,7)), and a trivial stabilizer ((4,11))
+    for n, q in [(3, 5), (3, 7), (4, 5), (4, 7), (5, 7), (6, 7), (4, 11)]:
+        assert orbit_census(n, q) == _census_by_closure(n, q), (n, q)

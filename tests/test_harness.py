@@ -212,4 +212,8 @@ def test_explicit_caps_override_environment(analyses, monkeypatch):
     monkeypatch.setenv("VG_ENUM_CAP", "100")
     with pytest.raises(CapExceeded):
         harness.analyze("S5")
-    assert harness.analyze("S5", Caps(enum_cap=1000)).table.degrees == want
+    a = harness.analyze("S5", Caps(enum_cap=1000))
+    assert a.table.degrees == want
+    # the classes hold the whole enumeration, so lookups check no cap
+    assert [a.classes.class_of(rep) for rep in a.classes.reps] == \
+        list(range(a.classes.count))
