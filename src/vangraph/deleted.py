@@ -16,9 +16,11 @@ transposition in the stabilizer, so that orbit stays whole.  With
 distinct coordinates the stabilizer is cyclic of order
 d = (q-1)/|{lM}|; its generator permutes the n-z nonzero coordinates
 (z = 1 if 0 is in M, else 0) in cycles of length d, so the orbit splits
-iff (d-1)(n-z)/d is even.  The census is certified by its sizes
-covering all q^(n-1) vectors.  Everything else is exhaustive and
-checked.
+iff (d-1)(n-z)/d is even.  The zero-sum multisets are listed by their
+n-1 smallest values, which fix the largest, so the loop runs
+C(q+n-2, n-1) <= q^(n-1) times and the vector cap bounds the work.
+The census is certified by its sizes covering all q^(n-1) vectors.
+Everything else is exhaustive and checked.
 """
 from __future__ import annotations
 
@@ -143,8 +145,12 @@ def orbit_census(n: int, q: int,
         raise ValueError("need n >= 3")
     sizes: Counter[int] = Counter()
     seen: set[tuple[int, ...]] = set()
-    for multiset in combinations_with_replacement(range(q), n):
-        if sum(multiset) % q or multiset in seen:
+    for head in combinations_with_replacement(range(q), n - 1):
+        last = -sum(head) % q
+        if last < head[-1]:
+            continue
+        multiset = head + (last,)
+        if multiset in seen:
             continue
         scalar_class = {tuple(sorted(l * c % q for c in multiset))
                         for l in range(1, q)}

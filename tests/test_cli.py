@@ -126,9 +126,9 @@ def test_modorbit_uncovered_census_exits_3(capsys, monkeypatch):
     # dropping the zero multiset loses one vector; every orbit size
     # still divides the group order, so only the covering certificate
     # can catch it
-    def all_but_zero(values, n):
+    def all_but_zero(values, r):
         return itertools.islice(
-            itertools.combinations_with_replacement(values, n), 1, None)
+            itertools.combinations_with_replacement(values, r), 1, None)
 
     monkeypatch.setattr(deleted, "combinations_with_replacement",
                         all_but_zero)

@@ -3,10 +3,11 @@
 import math
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from vangraph import deleted
 from vangraph.caps import CapExceeded, Caps
 from vangraph.deleted import (act, census_csv, check_vector,
                               distinct_coordinate_vector, group_order,
@@ -187,3 +188,21 @@ def test_orbit_census_matches_brute_force():
     # (4,5), (6,7)), and a trivial stabilizer ((4,11))
     for n, q in [(3, 5), (3, 7), (4, 5), (4, 7), (5, 7), (6, 7), (4, 11)]:
         assert orbit_census(n, q) == _census_by_closure(n, q), (n, q)
+
+
+def test_orbit_census_large_q_work_is_bounded_by_vector_count(monkeypatch):
+    # with q far above n the census must still match the closure, and
+    # its loop must not outgrow the q^(n-1) vectors that the census
+    # cap bounds
+    n, q = 3, 211
+    steps = 0
+
+    def counted(values, r):
+        nonlocal steps
+        for item in combinations_with_replacement(values, r):
+            steps += 1
+            yield item
+
+    monkeypatch.setattr(deleted, "combinations_with_replacement", counted)
+    assert orbit_census(n, q) == _census_by_closure(n, q)
+    assert steps == math.comb(q + n - 2, n - 1) <= q ** (n - 1)
