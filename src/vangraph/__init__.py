@@ -14,8 +14,7 @@ from .harness import (Analysis, CorpusResult, DEFAULT_C44_CONFIGS,
 from .perms import (Perm, PermGroup, commutator, cycle_perm, parse_cycles,
                     read_generator_file)
 from .structure import (ConjugacyClasses, GroupStructure, SeparationAnomaly,
-                        conjugacy_classes, normal_closure, separating_subsets,
-                        structure_report)
+                        conjugacy_classes, normal_closure, separating_subsets)
 from .symchar import (conjugate, degree, is_self_associate, mn_value,
                       partitions, sn_table, witness_cycle_type,
                       witness_partition)
@@ -38,6 +37,6 @@ __all__ = [
     "is_subgraph", "mn_value", "normal_closure", "orbit_census",
     "orbit_size", "parse_cycles", "partitions", "prime_graph",
     "read_generator_file", "report_dict", "separating_subsets", "sn_table",
-    "stabilizer", "structure_report", "vanishing_report",
+    "stabilizer", "vanishing_report",
     "witness_cycle_type", "witness_partition",
 ]

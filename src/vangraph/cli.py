@@ -5,7 +5,9 @@ verdicts only), corpus (batch run with the exit-code contract),
 symchar (one character value), modorbit (zero-sum module census),
 sepsets (separating point subsets).  Exit codes: 0 clean, 1 a check
 FAILed, 2 unusable input or a cap hit, 3 an internal consistency check
-failed (a bug, never a verdict).
+failed (a bug, never a verdict).  In corpus a capped group is not an
+exit-2 error: its report marks every requested check INDETERMINATE and
+the run goes on.
 """
 from __future__ import annotations
 
@@ -30,35 +32,33 @@ def _parse_partition(text: str) -> tuple[int, ...]:
         raise SpecError(f"expected a comma list of integers: {text!r}") from exc
 
 
-def _print_analysis(analysis, verdicts) -> None:
-    rep = analysis.report
-    van = analysis.vanishing
-    print(f"group {analysis.spec}: order {rep.order}, degree {rep.degree}")
-    print(f"primes: {list(rep.primes)}")
-    print(f"class sizes: {list(van.all_sizes)}")
-    print(f"character degrees: {list(analysis.table.degrees)}")
-    print(f"vanishing classes: {list(van.vanishing_classes)}"
-          f" with sizes {list(van.vanishing_sizes)}")
-    print(f"V = {list(van.size_primes)}  V_v = {list(van.vanishing_size_primes)}")
-    print(f"graph edges: {[list(e) for e in van.graph.edges]}")
-    print(f"vanishing graph edges:"
-          f" {[list(e) for e in van.vanishing_graph.edges]}")
-    print(f"center order {rep.center_order}, Fitting order"
-          f" {rep.fitting_order}, solvable: {rep.is_solvable}")
+def _print_analysis(report: dict) -> None:
+    """The text form of ``report_dict``."""
+    print(f"group {report['spec']}: order {report['order']},"
+          f" degree {report['degree']}")
+    print(f"primes: {report['primes']}")
+    print(f"class sizes: {report['class_sizes']}")
+    print(f"character degrees: {report['character_degrees']}")
+    print(f"vanishing classes: {report['vanishing_classes']}"
+          f" with sizes {report['vanishing_class_sizes']}")
+    print(f"V = {report['V']}  V_v = {report['V_v']}")
+    print(f"graph edges: {report['graph']['edges']}")
+    print(f"vanishing graph edges: {report['vanishing_graph']['edges']}")
+    print(f"center order {report['center_order']}, Fitting order"
+          f" {report['fitting_order']}, solvable: {report['is_solvable']}")
     print(f"minimal normal subgroups (order, abelian):"
-          f" {[list(m) for m in rep.minimal_normals]}")
-    for v in verdicts:
-        print(f"{v.check} {v.status} {v.detail}")
+          f" {report['minimal_normals']}")
+    for v in report["verdicts"]:
+        print(f"{v['check']} {v['status']} {v['detail']}")
 
 
 def _cmd_analyze(args) -> int:
     analysis = analyze(args.spec)
-    verdicts = check_theorems(analysis)
-    _print_analysis(analysis, verdicts)
+    report = report_dict(analysis, check_theorems(analysis))
+    _print_analysis(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report_dict(analysis, verdicts), fh, sort_keys=True,
-                      indent=2)
+            json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
     if args.dot_prefix:
         van = analysis.vanishing

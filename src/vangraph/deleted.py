@@ -64,8 +64,13 @@ def act(v, scalar: int, x: Perm, q: int) -> tuple[int, ...]:
     scalar %= q
     if scalar == 0:
         raise ValueError("scalar must be a unit")
-    inv = x.inverse().images
-    return tuple(scalar * v[inv[i]] % q for i in range(n))
+    return _apply(v, scalar, x.inverse().images, q)
+
+
+def _apply(v, scalar: int, inv: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """``act`` with the permutation given by its inverse images and no
+    checks."""
+    return tuple(scalar * v[i] % q for i in inv)
 
 
 def distinct_coordinate_vector(n: int, q: int) -> tuple[int, ...]:
@@ -175,17 +180,19 @@ def orbit_census(n: int, q: int,
 
 
 def orbit_size(v, n: int, q: int) -> int:
-    """Size of one orbit by plain breadth-first closure."""
+    """Size of one orbit by plain breadth-first closure.  The field and
+    the generators are checked once, not on every step."""
     _check_field(n, q)
     v = check_vector(v, n, q)
-    gens = module_generators(n, q)
+    gens = [(scalar, x.inverse().images)
+            for scalar, x in module_generators(n, q)]
     seen = {v}
     frontier = [v]
     while frontier:
         nxt = []
         for w in frontier:
-            for scalar, x in gens:
-                u = act(w, scalar, x, q)
+            for scalar, inv in gens:
+                u = _apply(w, scalar, inv, q)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)

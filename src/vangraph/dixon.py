@@ -75,9 +75,6 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees)
                      if (self.group_order // d) % q != 0)
 
-    def vanishing_column_set(self, i: int) -> frozenset[int]:
-        return frozenset(j for j, v in enumerate(self.values[i]) if v.is_zero())
-
 
 def character_table(classes: ConjugacyClasses,
                     caps: Caps | None = None) -> CharacterTable:

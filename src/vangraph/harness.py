@@ -19,8 +19,8 @@ from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
-from .structure import (ConjugacyClasses, GroupStructure, StructureReport,
-                        conjugacy_classes, normal_closure, structure_report)
+from .structure import (ConjugacyClasses, GroupStructure, conjugacy_classes,
+                        normal_closure)
 from .vanishing import (VanishingReport, is_complete, is_complete_vertex,
                         vanishing_report)
 
@@ -83,8 +83,6 @@ class Analysis:
     structure: GroupStructure
     table: CharacterTable
     vanishing: VanishingReport
-    report: StructureReport
-    caps: Caps
 
 
 def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
@@ -96,6 +94,11 @@ def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
     classes = conjugacy_classes(group, caps)
     table = character_table(classes, caps)
     structure = GroupStructure(table)
+    # both structure certificates raise here, before any check reads
+    # the structure: |G'| against the derived series, then the chief
+    # factors against |G|
+    structure.derived_series
+    structure.chief_factors
     return Analysis(
         spec=name,
         group=group,
@@ -103,8 +106,6 @@ def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
         structure=structure,
         table=table,
         vanishing=vanishing_report(table),
-        report=structure_report(structure),
-        caps=caps,
     )
 
 
@@ -114,8 +115,7 @@ def _pair_solvability(analysis: Analysis, primes, check: str,
                       detail_ok: str) -> Verdict:
     """Shared tail of the two solvability checks: all named primes must
     be solvable-for."""
-    solv = analysis.report.p_solvable
-    bad = [p for p in primes if not solv[p]]
+    bad = [p for p in primes if not analysis.structure.p_solvable(p)]
     if bad:
         return Verdict(check, FAIL, f"not p-solvable for p in {bad}",
                        {"primes": bad})
@@ -124,7 +124,7 @@ def _pair_solvability(analysis: Analysis, primes, check: str,
 
 def check_same_vertices(analysis: Analysis) -> Verdict:
     """Nonabelian minimal normal subgroup forces V(G) = V_v(G)."""
-    if all(abelian for _, abelian in analysis.report.minimal_normals):
+    if not analysis.structure.nonabelian_minimal_normals:
         return Verdict("CHK-PROP", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     v_all = set(analysis.vanishing.size_primes)
@@ -140,7 +140,7 @@ def check_same_vertices(analysis: Analysis) -> Verdict:
 def check_missing_edge_solvability(analysis: Analysis) -> Verdict:
     """A missing vanishing-graph edge between class-size primes forces
     {p,q}-solvability, given a nonabelian minimal normal subgroup."""
-    if all(abelian for _, abelian in analysis.report.minimal_normals):
+    if not analysis.structure.nonabelian_minimal_normals:
         return Verdict("CHK-THMA", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     v_all = analysis.vanishing.size_primes
@@ -160,9 +160,10 @@ def check_missing_edge_solvability(analysis: Analysis) -> Verdict:
 def check_trivial_fitting(analysis: Analysis) -> Verdict:
     """Trivial Fitting subgroup forces V_v = pi(G) with a complete
     vanishing graph."""
-    if analysis.report.fitting_order != 1:
+    structure = analysis.structure
+    if structure.order(structure.fitting_subgroup) != 1:
         return Verdict("CHK-THMB", VACUOUS, "Fitting subgroup is nontrivial")
-    primes = set(analysis.report.primes)
+    primes = set(structure.primes)
     v_van = set(analysis.vanishing.vanishing_size_primes)
     missing = sorted(primes - v_van)
     if missing:
@@ -183,12 +184,12 @@ def check_trivial_fitting(analysis: Analysis) -> Verdict:
 def check_noncomplete_vertex(analysis: Analysis) -> Verdict:
     """A prime that is not a complete vanishing-graph vertex forces
     p-solvability, given a nonabelian minimal normal subgroup."""
-    if all(abelian for _, abelian in analysis.report.minimal_normals):
+    if not analysis.structure.nonabelian_minimal_normals:
         return Verdict("CHK-COR", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     graph_v = analysis.vanishing.vanishing_graph
     verts = set(graph_v.vertices)
-    loose = [p for p in analysis.report.primes
+    loose = [p for p in analysis.structure.primes
              if p not in verts or not is_complete_vertex(graph_v, p)]
     if not loose:
         return Verdict("CHK-COR", VACUOUS,
@@ -202,8 +203,9 @@ def check_noncomplete_vertex(analysis: Analysis) -> Verdict:
 def _unique_nonabelian_minimal(analysis: Analysis) -> frozenset[int] | None:
     """The class set of the unique minimal normal subgroup, when there is
     exactly one and it is nonabelian."""
-    mins = analysis.structure.minimal_normal_subgroups
-    if len(mins) == 1 and not analysis.report.minimal_normals[0][1]:
+    structure = analysis.structure
+    mins = structure.minimal_normal_subgroups
+    if len(mins) == 1 and mins == structure.nonabelian_minimal_normals:
         return mins[0]
     return None
 
@@ -218,7 +220,7 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
     sizes = analysis.classes.sizes
     van = set(analysis.vanishing.vanishing_classes)
     missing = []
-    for p in analysis.report.primes:
+    for p in analysis.structure.primes:
         if not any(k in van and sizes[k] % p == 0 for k in m_sub):
             missing.append(p)
     if missing:
@@ -252,7 +254,7 @@ def check_almost_simple_edges(analysis: Analysis) -> Verdict:
         return Verdict("CHK-P34", VACUOUS, "group is not almost simple")
     sizes = analysis.classes.sizes
     van = set(analysis.vanishing.vanishing_classes)
-    primes = analysis.report.primes
+    primes = analysis.structure.primes
     bad = []
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
@@ -271,7 +273,7 @@ def check_outside_vanishing_primes(analysis: Analysis) -> Verdict:
     """A prime divisor outside V_v forces p-nilpotency with abelian
     Sylow p-subgroups (checked through the normal complement)."""
     v_van = set(analysis.vanishing.vanishing_size_primes)
-    outside = [p for p in analysis.report.primes if p not in v_van]
+    outside = [p for p in analysis.structure.primes if p not in v_van]
     if not outside:
         return Verdict("CHK-DOLFI", VACUOUS,
                        "V_v contains every prime divisor")
@@ -318,55 +320,62 @@ def _subgroup_from_cycles(group: PermGroup, strings) -> PermGroup:
 def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
     """One configured instance: A abelian minimal normal, M/N a chief
     factor with |M/N| coprime to |A| and N = C_M(A); then everything in
-    M but not in N must be vanishing."""
-    caps = analysis.caps
+    M but not in N must be vanishing.  Each of A, M, N is read as the
+    class set of its normal closure, which has the subgroup's order
+    exactly when the subgroup is normal."""
     group = analysis.group
-    p = config["p"]
-    a_grp = _subgroup_from_cycles(group, config["a"])
-    m_grp = _subgroup_from_cycles(group, config["m"])
-    n_grp = _subgroup_from_cycles(group, config["n"])
+    structure = analysis.structure
     reps = analysis.classes.reps
+    p = config["p"]
+    subs = tuple(_subgroup_from_cycles(group, config[key])
+                 for key in ("a", "m", "n"))
+    outside = [f"{name} is not a subgroup of G"
+               for name, sub in zip("AMN", subs)
+               if not all(g in group for g in sub.generators)]
+    if outside:
+        return Verdict("CHK-C44", VACUOUS,
+                       "configuration hypothesis failed: "
+                       + "; ".join(outside))
+    a_grp, m_grp, n_grp = subs
+    class_of = analysis.classes.class_of
+    a_set, m_set, n_set = (
+        structure.closure(class_of(g) for g in sub.generators) for sub in subs)
     problems = []
     if not is_prime(p) or not is_prime_power(a_grp.order, p):
         problems.append(f"A is not a {p}-group")
-    if normal_closure(group, a_grp.generators).order != a_grp.order:
+    if structure.order(a_set) != a_grp.order:
         problems.append("A is not normal")
     elif any(a * b != b * a for a in a_grp.generators
              for b in a_grp.generators):
         problems.append("A is not abelian")
-    elif not any(analysis.structure.order(m) == a_grp.order
-                 and all(reps[j] in a_grp for j in m)
-                 for m in analysis.structure.minimal_normal_subgroups):
+    elif a_set not in structure.minimal_normal_subgroups:
         problems.append("A is not a minimal normal subgroup")
-    if normal_closure(group, m_grp.generators).order != m_grp.order:
+    if structure.order(m_set) != m_grp.order:
         problems.append("M is not normal")
-    if normal_closure(group, n_grp.generators).order != n_grp.order:
+    if structure.order(n_set) != n_grp.order:
         problems.append("N is not normal")
     if not all(g in m_grp for g in n_grp.generators):
         problems.append("N is not contained in M")
     elif n_grp.order >= m_grp.order:
         problems.append("M/N is trivial")
     elif not problems:
-        n_gens = n_grp.generators
-        for x in m_grp.elements(caps):
-            if x in n_grp:
-                continue
-            if normal_closure(group, n_gens + (x,)).order != m_grp.order:
-                problems.append("M/N is not a chief factor")
-                break
+        if any(structure.closure(n_set | {j}) != m_set
+               for j in m_set - n_set):
+            problems.append("M/N is not a chief factor")
         if gcd(a_grp.order, m_grp.order // n_grp.order) != 1:
             problems.append("|M/N| is not coprime to |A|")
-        cent = [x for x in m_grp.elements(caps)
-                if all(x * a == a * x for a in a_grp.generators)]
-        if len(cent) != n_grp.order or any(x not in n_grp for x in cent):
+        # C_G(A) is normal, so C_M(A) is the classes of M whose
+        # representative commutes with A
+        cent = {j for j in m_set
+                if all(reps[j] * a == a * reps[j] for a in a_grp.generators)}
+        if cent != n_set:
             problems.append("N is not the centralizer of A in M")
     if problems:
         return Verdict("CHK-C44", VACUOUS,
                        "configuration hypothesis failed: "
                        + "; ".join(problems))
     van = set(analysis.vanishing.vanishing_classes)
-    bad = [k for k in range(analysis.classes.count)
-           if reps[k] in m_grp and reps[k] not in n_grp and k not in van]
+    bad = [k for k in sorted(m_set - n_set) if k not in van]
     if bad:
         return Verdict("CHK-C44", FAIL,
                        "non-vanishing classes inside M minus N",
@@ -421,13 +430,14 @@ def check_theorems(analysis: Analysis,
 # -- reports and the corpus runner ----------------------------------------
 
 def report_dict(analysis: Analysis, verdicts) -> dict:
-    rep = analysis.report
+    structure = analysis.structure
+    group = analysis.group
     van = analysis.vanishing
     return {
         "spec": analysis.spec,
-        "order": rep.order,
-        "degree": rep.degree,
-        "primes": list(rep.primes),
+        "order": group.order,
+        "degree": group.degree,
+        "primes": list(structure.primes),
         "class_sizes": list(van.all_sizes),
         "character_degrees": list(analysis.table.degrees),
         "vanishing_classes": list(van.vanishing_classes),
@@ -439,20 +449,32 @@ def report_dict(analysis: Analysis, verdicts) -> dict:
         "vanishing_graph": {
             "vertices": list(van.vanishing_graph.vertices),
             "edges": [list(e) for e in van.vanishing_graph.edges]},
-        "center_order": rep.center_order,
-        "fitting_order": rep.fitting_order,
-        "minimal_normals": [[o, ab] for o, ab in rep.minimal_normals],
-        "derived_series": list(rep.derived_series_orders),
-        "is_solvable": rep.is_solvable,
-        "p_nilpotent": {str(p): v for p, v in rep.p_nilpotent.items()},
-        "p_solvable": {str(p): v for p, v in rep.p_solvable.items()},
+        "center_order": structure.order(structure.center),
+        "fitting_order": structure.order(structure.fitting_subgroup),
+        "minimal_normals": [
+            [structure.order(m), m not in structure.nonabelian_minimal_normals]
+            for m in structure.minimal_normal_subgroups],
+        "derived_series": [s.order for s in structure.derived_series],
+        "is_solvable": structure.is_solvable(),
+        "p_nilpotent": {str(p): structure.normal_p_complement(p) is not None
+                        for p in structure.primes},
+        "p_solvable": {str(p): structure.p_solvable(p)
+                       for p in structure.primes},
         "verdicts": [v.as_dict() for v in verdicts],
     }
 
 
 def _corpus_worker(args) -> dict:
+    """One group's report.  A cap hit makes every requested check
+    INDETERMINATE in this group's report and leaves the others alone."""
     spec, c44, checks, caps = args
-    analysis = analyze(spec, caps)
+    try:
+        analysis = analyze(spec, caps)
+    except CapExceeded as exc:
+        return {"spec": spec,
+                "verdicts": [Verdict(check, INDETERMINATE, str(exc)).as_dict()
+                             for check in CHECK_IDS
+                             if checks is None or check in checks]}
     verdicts = check_theorems(analysis, c44_configs=c44, checks=checks)
     return report_dict(analysis, verdicts)
 

@@ -57,18 +57,6 @@ class Perm:
             inv[j] = i
         return Perm(tuple(inv))
 
-    def __pow__(self, e: int) -> "Perm":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Perm.identity(self.degree)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -322,34 +310,6 @@ class PermGroup:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         return self._sift_chain(g).is_identity()
-
-    def is_trivial(self) -> bool:
-        return not self.generators
-
-    # -- orbits ----------------------------------------------------------
-
-    def orbit(self, point: int) -> frozenset[int]:
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
-        seen = {point}
-        queue = [point]
-        while queue:
-            p = queue.pop(0)
-            for g in self.generators:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return frozenset(seen)
-
-    def orbits(self) -> list[frozenset[int]]:
-        left = set(range(self.degree))
-        out = []
-        while left:
-            o = self.orbit(min(left))
-            out.append(o)
-            left -= o
-        return out
 
     # -- enumeration -----------------------------------------------------
 

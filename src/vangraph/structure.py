@@ -1,7 +1,7 @@
 """Conjugacy classes and the normal structure read off them.
 
 Covers: class enumeration by conjugation orbits, permutation-level
-normal closures and centralizers, and GroupStructure, which reads the
+normal closures, and GroupStructure, which reads the
 centre, minimal normal subgroups, the Fitting subgroup, normal
 p-complements, a chief series, p-solvability and the derived subgroup
 off the character table as sets of class indices.  Also exhaustive
@@ -118,14 +118,6 @@ def normal_closure(group: PermGroup, seeds) -> PermGroup:
         gens.extend(fresh)
 
 
-def centralizer(group: PermGroup, targets, caps: Caps | None = None) -> PermGroup:
-    """Subgroup of elements commuting with every target (by filtration,
-    so the group must be enumerable)."""
-    members = [g for g in group.elements(caps)
-               if all(g * t == t * g for t in targets)]
-    return PermGroup(members, degree=group.degree)
-
-
 def _is_abelian_chief_order(order: int) -> bool:
     """Whether a chief factor or minimal normal subgroup of this order is
     abelian: abelian ones are elementary abelian p-groups, nonabelian
@@ -157,6 +149,11 @@ class GroupStructure:
     def order(self, normal: frozenset[int]) -> int:
         return sum(self.classes.sizes[j] for j in normal)
 
+    @cached_property
+    def primes(self) -> tuple[int, ...]:
+        """The prime divisors of |G|, increasing."""
+        return prime_divisors(self.group.order)
+
     def closure(self, seeds) -> frozenset[int]:
         """Smallest normal subgroup containing the given classes.  The
         trivial character's kernel holds every class, so the
@@ -183,6 +180,13 @@ class GroupStructure:
         minimal = [n for n in closures if not any(m < n for m in closures)]
         return tuple(sorted(minimal, key=lambda n: (self.order(n), sorted(n))))
 
+    @cached_property
+    def nonabelian_minimal_normals(self) -> tuple[frozenset[int], ...]:
+        """The minimal normal subgroups that are not abelian, in the
+        order of ``minimal_normal_subgroups``."""
+        return tuple(n for n in self.minimal_normal_subgroups
+                     if not _is_abelian_chief_order(self.order(n)))
+
     def largest_normal_p_subgroup(self, p: int) -> frozenset[int]:
         """O_p(G): the join of the class closures that are p-groups."""
         parts = [n for n in self.class_closures
@@ -193,8 +197,7 @@ class GroupStructure:
     def fitting_subgroup(self) -> frozenset[int]:
         """F(G), the join of O_p(G) over the primes p dividing |G|."""
         return self.closure(frozenset().union(
-            *(self.largest_normal_p_subgroup(p)
-              for p in prime_divisors(self.group.order))))
+            *(self.largest_normal_p_subgroup(p) for p in self.primes)))
 
     @cached_property
     def derived_subgroup(self) -> frozenset[int]:
@@ -276,41 +279,6 @@ class GroupStructure:
         if comp is None:
             return None
         return self.derived_subgroup <= comp
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """JSON-ready structural summary."""
-
-    order: int
-    degree: int
-    primes: tuple[int, ...]
-    center_order: int
-    fitting_order: int
-    minimal_normals: tuple[tuple[int, bool], ...]   # (order, is_abelian)
-    derived_series_orders: tuple[int, ...]
-    is_solvable: bool
-    p_nilpotent: dict
-    p_solvable: dict
-
-
-def structure_report(structure: GroupStructure) -> StructureReport:
-    group = structure.group
-    primes = prime_divisors(group.order)
-    mins = [structure.order(n) for n in structure.minimal_normal_subgroups]
-    return StructureReport(
-        order=group.order,
-        degree=group.degree,
-        primes=primes,
-        center_order=structure.order(structure.center),
-        fitting_order=structure.order(structure.fitting_subgroup),
-        minimal_normals=tuple((m, _is_abelian_chief_order(m)) for m in mins),
-        derived_series_orders=tuple(s.order for s in structure.derived_series),
-        is_solvable=structure.is_solvable(),
-        p_nilpotent={p: structure.normal_p_complement(p) is not None
-                     for p in primes},
-        p_solvable={p: structure.p_solvable(p) for p in primes},
-    )
 
 
 def separating_subsets(group: PermGroup, p: int, q: int,

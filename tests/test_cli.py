@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 
-from vangraph import cli, deleted
+from vangraph import cli, deleted, harness
 from vangraph.cli import main
 
 
@@ -79,6 +79,24 @@ def test_corpus_inline(capsys, tmp_path):
     assert [l["spec"] for l in lines] == ["C4", "S3"]
     assert "FAIL=0" in err
     assert "CHK-THMA[VACUOUS]" in err
+
+
+def test_corpus_capped_group_is_indeterminate(capsys, tmp_path):
+    # C61 has 61 classes, over the table cap of 60; it gets its own
+    # INDETERMINATE report and the corpus goes on
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({"groups": ["S3", "C61"]}))
+    code, out, err = run(capsys, "corpus", "--config", str(config))
+    assert code == 0
+    capped, s3 = [json.loads(l) for l in out.splitlines()]
+    assert capped == {"spec": "C61", "verdicts": [
+        {"check": check, "status": "INDETERMINATE",
+         "detail": "61 classes exceeds table cap 60"}
+        for check in harness.CHECK_IDS]}
+    alone = harness.corpus_run(["S3"])
+    assert s3 == alone.reports[0]
+    assert "INDETERMINATE=9" in err
+    assert "FAIL=0" in err
 
 
 def test_corpus_bad_config_exits_2(capsys, tmp_path):

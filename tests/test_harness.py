@@ -11,6 +11,7 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               check_theorems, corpus_run,
                               load_corpus_config, report_dict,
                               validate_c44_config)
+from vangraph.structure import GroupStructure
 
 
 def verdict_map(analysis, **kw):
@@ -113,6 +114,49 @@ def test_c44_vacuous_when_hypotheses_fail(analyses):
     assert "hypothesis failed" in verdict.detail
 
 
+def test_c44_generators_outside_group(analyses):
+    # (1 2) and (1 2 3 4) generate S4, which is not a subgroup of A4
+    config = {"group": "A4",
+              "a": ["(1 2)(3 4)", "(1 3)(2 4)"],
+              "m": ["(1 2)", "(1 2 3 4)"],
+              "n": ["(1 2)(3 4)", "(1 3)(2 4)"],
+              "p": 2}
+    (verdict,) = check_theorems(analyses("A4"), c44_configs=[config],
+                                checks=["CHK-C44"])
+    assert verdict.status == VACUOUS
+    assert verdict.detail == ("configuration hypothesis failed:"
+                              " M is not a subgroup of G")
+
+
+def test_analyze_runs_structure_certificates(monkeypatch):
+    # analyze evaluates both certificates itself, so a wrong table
+    # raises before any check or report reads the structure
+    class LinearKernelsWidened(GroupStructure):
+        # every linear character trivial: claims G' = G
+        def __init__(self, table):
+            super().__init__(table)
+            everything = frozenset(range(table.classes.count))
+            self.kernels = tuple(everything if d == 1 else ker
+                                 for d, ker in zip(table.degrees,
+                                                   self.kernels))
+
+    class BogusKernel(GroupStructure):
+        # a kernel of classes 0 and 1 of S4, "a normal subgroup" of
+        # order 7, in place of the degree-2 character's V4
+        def __init__(self, table):
+            super().__init__(table)
+            self.kernels = tuple(frozenset({0, 1}) if d == 2 else ker
+                                 for d, ker in zip(table.degrees,
+                                                   self.kernels))
+
+    monkeypatch.setattr(harness, "GroupStructure", LinearKernelsWidened)
+    with pytest.raises(ArithmeticError, match="derived subgroup"):
+        harness.analyze("S4")
+    monkeypatch.setattr(harness, "GroupStructure", BogusKernel)
+    with pytest.raises(ArithmeticError, match="chief factor"):
+        harness.analyze("S4")
+
+
 def test_verdict_as_dict(analyses):
     v = check_theorems(analyses("S3"))[0]
     d = v.as_dict()
@@ -174,6 +218,19 @@ def test_summary_reports_vacuous_counts():
     assert "FAIL=0" in s
     tallies = result.check_counts()
     assert tallies["CHK-THMA"][VACUOUS] == 2
+
+
+def test_corpus_capped_group_reports_requested_checks():
+    # C61 has more classes than the table cap; only the requested checks
+    # appear, in the usual order
+    result = corpus_run(["C61", "C4"], checks=["CHK-DOLFI", "CHK-PROP"])
+    c4, capped = result.reports
+    assert capped["spec"] == "C61"
+    assert [(v["check"], v["status"]) for v in capped["verdicts"]] == \
+        [("CHK-PROP", INDETERMINATE), ("CHK-DOLFI", INDETERMINATE)]
+    assert c4["spec"] == "C4" and c4["order"] == 4
+    assert result.counts[INDETERMINATE] == 2
+    assert result.exit_code == 0
 
 
 def test_load_corpus_config(tmp_path):

@@ -160,9 +160,7 @@ def test_large_prime_socle_elements_vanish(analyses):
     # of M with order divisible by p vanishes in G
     for spec in ("S5", "PSL(2,7)", "C2 x A5"):
         a = analyses(spec)
-        mins = zip(a.structure.minimal_normal_subgroups,
-                   a.report.minimal_normals)
-        socles = [m for m, (_, abelian) in mins if not abelian]
+        socles = a.structure.nonabelian_minimal_normals
         assert socles, spec
         for m in socles:
             for p in (5, 7):
