@@ -25,6 +25,7 @@ Everything else is exhaustive and checked.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
@@ -89,19 +90,16 @@ def distinct_coordinate_vector(n: int, q: int) -> tuple[int, ...]:
     return tuple(range(1, n)) + (beta,)
 
 
-def even_permutations(n: int) -> list[Perm]:
+@cache
+def even_permutations(n: int) -> tuple[Perm, ...]:
     """All of A_n, sorted by image tuple."""
-    out = []
-    for images in permutations(range(n)):
-        p = Perm(images)
-        if p.sign() == 1:
-            out.append(p)
-    return out
+    return tuple(p for p in map(Perm, permutations(range(n))) if p.sign() == 1)
 
 
 def stabilizer(v, n: int, q: int,
                caps: Caps | None = None) -> list[tuple[int, Perm]]:
-    """Every (scalar, even permutation) pair fixing v, by brute force."""
+    """Every (scalar, even permutation) pair fixing v, by brute force.
+    (l, x) fixes v iff l * v[i] = v[x(i)] for every i."""
     caps = caps or default_caps()
     _check_field(n, q)
     v = check_vector(v, n, q)
@@ -110,10 +108,9 @@ def stabilizer(v, n: int, q: int,
         raise CapExceeded(f"{pairs} pairs exceeds the enumeration bound")
     hits = []
     for x in even_permutations(n):
-        inv = x.inverse().images
-        shuffled = tuple(v[inv[i]] for i in range(n))
+        shuffled = tuple(v[i] for i in x.images)
         for scalar in range(1, q):
-            if all(scalar * c % q == w for c, w in zip(shuffled, v)):
+            if all(scalar * c % q == w for c, w in zip(v, shuffled)):
                 hits.append((scalar, x))
     hits.sort(key=lambda p: (p[0], p[1].images))
     return hits

@@ -28,22 +28,21 @@ from .structure import ConjugacyClasses
 _SPLIT_SEED = 0x0D15C0
 
 
-def class_matrix(classes: ConjugacyClasses, i: int,
-                 caps: Caps | None = None) -> list[list[int]]:
+def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
     """Multiplication by the class sum K_i on the class-sum basis:
     entry [r][c] counts the x in class i with x^-1 * rep_r in class c,
-    which is the class constant a[i][c][r].  Costs |C_i| * k products."""
-    group = classes.group
-    elements = group.elements(caps)
+    which is the class constant a[i][c][r].  The x^-1 run over the
+    inverse class, as image tuples.  Costs |C_i| * k products."""
+    ids = classes.ids
     class_of = classes.class_of_element
+    inv = classes.inverse_class(i)
     k = classes.count
     mat = [[0] * k for _ in range(k)]
-    for x, cx in zip(elements, class_of):
-        if cx != i:
+    for y, cy in zip(ids, class_of):
+        if cy != inv:
             continue
-        xinv = x.inverse()
         for r, rep in enumerate(classes.reps):
-            mat[r][class_of[group.element_id(xinv * rep, caps)]] += 1
+            mat[r][class_of[ids[tuple(map(rep.images.__getitem__, y))]]] += 1
     return mat
 
 
@@ -125,7 +124,7 @@ def character_table(classes: ConjugacyClasses,
     for i in range(1, k):
         if all(len(s) == 1 for s in spaces):
             break
-        mat = [[a % ell for a in row] for row in class_matrix(classes, i, caps)]
+        mat = [[a % ell for a in row] for row in class_matrix(classes, i)]
         nxt = []
         for space in spaces:
             if len(space) == 1:
@@ -162,6 +161,15 @@ def character_table(classes: ConjugacyClasses,
 
     if sum(d * d for d in degrees) != order:
         raise ArithmeticError("degree squares do not sum to the group order")
+    # certificate: the first orthogonality relation mod l,
+    # sum_j |C_j| theta_a(j) theta_b(inv j) = delta_ab |G|; the diagonal
+    # holds by the choice of degree, so the pairs a != b are the check
+    for a, theta_a in enumerate(theta_rows):
+        for b, theta_b in enumerate(theta_rows):
+            total = sum(sizes[j] * theta_a[j] * theta_b[inv_class[j]]
+                        for j in range(k))
+            if (total - (order if a == b else 0)) % ell:
+                raise ArithmeticError("rows fail the orthogonality relation mod l")
 
     root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
     inv_m = {d: pow(d, -1, ell) for d in {rep.order() for rep in classes.reps}}

@@ -314,34 +314,31 @@ class PermGroup:
     # -- enumeration -----------------------------------------------------
 
     @cached_property
-    def _enumeration(self) -> tuple[tuple[Perm, ...], dict[tuple[int, ...], int]]:
-        elements = [Perm.identity(self.degree)]
-        index = {elements[0].images: 0}
-        head = 0
-        while head < len(elements):
-            e = elements[head]
-            head += 1
-            for g in self.generators:
-                f = e * g
-                if f.images not in index:
-                    index[f.images] = len(elements)
-                    elements.append(f)
-        return tuple(elements), index
+    def _enumeration(self) -> dict[tuple[int, ...], int]:
+        ids = {tuple(range(self.degree)): 0}
+        frontier = list(ids)
+        gens = [g.images for g in self.generators]
+        for e in frontier:
+            for g in gens:
+                f = tuple(map(g.__getitem__, e))
+                if f not in ids:
+                    ids[f] = len(ids)
+                    frontier.append(f)
+        return ids
 
-    def elements(self, caps: Caps | None = None) -> tuple[Perm, ...]:
-        """All elements in deterministic breadth-first order (identity
-        first).  Refuses via CapExceeded when the order exceeds the cap."""
+    def element_ids(self, caps: Caps | None = None) -> dict[tuple[int, ...], int]:
+        """Image tuple -> element id for every element; the ids are
+        0..|G|-1 in deterministic breadth-first order (identity first),
+        which is also the dict's order.  Do not mutate the result.
+        Refuses via CapExceeded when the order exceeds the cap."""
         caps = caps or default_caps()
         if self.order > caps.enum_cap:
             raise CapExceeded(f"order {self.order} exceeds enumeration cap {caps.enum_cap}")
-        return self._enumeration[0]
+        return self._enumeration
 
-    def element_id(self, g: Perm, caps: Caps | None = None) -> int:
-        self.elements(caps)
-        try:
-            return self._enumeration[1][g.images]
-        except KeyError:
-            raise ValueError("element not in group") from None
+    def elements(self, caps: Caps | None = None) -> tuple[Perm, ...]:
+        """All elements as Perm values, in element id order."""
+        return tuple(map(Perm, self.element_ids(caps)))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"

@@ -31,12 +31,15 @@ if TYPE_CHECKING:
 class ConjugacyClasses:
     """Conjugacy classes of a fully enumerated permutation group.
 
+    ``ids`` is the group's element enumeration (image tuple -> element
+    id) and ``class_of_element[id]`` the class of that element.
     ``reps[k]`` is the first element of class k in enumeration order;
     class 0 is the identity class.  ``power_class(k, e)`` gives the class
     of rep_k ** e for any integer e.
     """
 
     group: PermGroup
+    ids: dict[tuple[int, ...], int]
     reps: tuple[Perm, ...]
     sizes: tuple[int, ...]
     class_of_element: tuple[int, ...]
@@ -47,10 +50,10 @@ class ConjugacyClasses:
         return len(self.reps)
 
     def class_of(self, g: Perm) -> int:
-        # the classes were built from the whole enumeration, so the
-        # lookup must not check an enumeration cap again
-        caps = Caps(enum_cap=self.group.order)
-        return self.class_of_element[self.group.element_id(g, caps)]
+        try:
+            return self.class_of_element[self.ids[g.images]]
+        except KeyError:
+            raise ValueError("element not in group") from None
 
     def power_class(self, k: int, e: int) -> int:
         row = self._power[k]
@@ -61,41 +64,40 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyClasses:
-    caps = caps or default_caps()
-    elements = group.elements(caps)
-    n = len(elements)
-    class_of = [-1] * n
+    ids = group.element_ids(caps)
+    class_of = [-1] * len(ids)
     reps: list[Perm] = []
     sizes: list[int] = []
-    gen_invs = [(g, g.inverse()) for g in group.generators]
-    for eid in range(n):
+    # on image tuples, g^-1 * x * g maps i to g[x[g^-1[i]]]
+    gen_invs = [(g.images, sorted(range(group.degree), key=g.images.__getitem__))
+                for g in group.generators]
+    for e, eid in ids.items():
         if class_of[eid] >= 0:
             continue
         k = len(reps)
-        reps.append(elements[eid])
+        reps.append(Perm(e))
         class_of[eid] = k
-        frontier = [eid]
+        frontier = [e]
         count = 1
         while frontier:
-            x = elements[frontier.pop()]
+            x = frontier.pop()
             for g, ginv in gen_invs:
-                y = ginv * x * g
-                yid = group.element_id(y, caps)
+                y = tuple(g[x[i]] for i in ginv)
+                yid = ids[y]
                 if class_of[yid] < 0:
                     class_of[yid] = k
                     count += 1
-                    frontier.append(yid)
+                    frontier.append(y)
         sizes.append(count)
     power = []
     for rep in reps:
-        m = rep.order()
-        acc = Perm.identity(group.degree)
+        acc = tuple(range(group.degree))
         row = []
-        for _ in range(m):
-            row.append(class_of[group.element_id(acc, caps)])
-            acc = acc * rep
+        for _ in range(rep.order()):
+            row.append(class_of[ids[acc]])
+            acc = tuple(map(rep.images.__getitem__, acc))
         power.append(tuple(row))
-    return ConjugacyClasses(group, tuple(reps), tuple(sizes), tuple(class_of), tuple(power))
+    return ConjugacyClasses(group, ids, tuple(reps), tuple(sizes), tuple(class_of), tuple(power))
 
 
 def normal_closure(group: PermGroup, seeds) -> PermGroup:
@@ -298,8 +300,7 @@ def separating_subsets(group: PermGroup, p: int, q: int,
     if n < 2:
         raise ValueError("need at least two points")
     targets = [r for r in (p, q) if group.order % r == 0]
-    elements = group.elements(caps)
-    images = [g.images for g in elements]
+    images = list(group.element_ids(caps))
     points = range(n)
     order = group.order
     setwise_cache: dict[tuple[int, ...], list] = {}

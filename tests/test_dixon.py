@@ -1,11 +1,13 @@
 """Exact character tables via eigenvector splitting over F_l."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vangraph import catalog
+from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, class_matrix, dixon_prime
+from vangraph.numth import nullspace
 from vangraph.perms import Perm, PermGroup
 from vangraph.structure import conjugacy_classes
 from vangraph.vanishing import vanishing_class_indices
@@ -96,6 +98,22 @@ def test_column_orthogonality_exact():
                 assert (total - Cyc.integer(want)).is_zero(), (spec, k, l)
 
 
+def test_orthogonality_certificate_raises(monkeypatch):
+    # a nullspace that repeats its first answer gives both lines of C2
+    # the same character: the degrees still square-sum to |G|, but the
+    # two rows are not orthogonal
+    first = []
+
+    def repeat_first(mat, ell):
+        if not first:
+            first.append(nullspace(mat, ell))
+        return first[0]
+
+    monkeypatch.setattr(dixon, "nullspace", repeat_first)
+    with pytest.raises(ArithmeticError, match="orthogonality"):
+        character_table(conjugacy_classes(catalog.catalog_group("C2")))
+
+
 def test_tables_are_deterministic():
     a = table_for("S5")
     b = table_for("S5")
@@ -161,16 +179,47 @@ def test_class_matrix_match_characters():
                 assert (left - right).is_zero(), (i, j, r)
 
 
+two_generator_groups = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.permutations(range(n)))).map(
+    lambda images: PermGroup([Perm(tuple(im)) for im in images],
+                             degree=len(images[0])))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
-    st.permutations(range(n)), st.permutations(range(n)))))
-def test_random_two_generator_tables(images):
-    group = PermGroup([Perm(tuple(im)) for im in images],
-                      degree=len(images[0]))
+@given(two_generator_groups)
+def test_random_two_generator_tables(group):
     t = character_table(conjugacy_classes(group))
     assert len(t.degrees) == len(t.values) == t.classes.count
     assert all(group.order % d == 0 for d in t.degrees)
     assert sum(d * d for d in t.degrees) == group.order
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_generator_groups)
+def test_random_two_generator_classes(group):
+    # brute force with Perm products: class j is every conjugate of
+    # rep_j, and rep_j ** e is a repeated product
+    cls = conjugacy_classes(group)
+    elements = group.elements()
+    brute = {}
+    for j, rep in enumerate(cls.reps):
+        conjugates = {rep.conjugate_by(h).images for h in elements}
+        assert len(conjugates) == cls.sizes[j]
+        assert not conjugates & brute.keys()
+        brute.update(dict.fromkeys(conjugates, j))
+    assert len(brute) == group.order
+    assert all(cls.class_of(x) == brute[x.images] for x in elements)
+    first = {}
+    for x in elements:
+        first.setdefault(brute[x.images], x)
+    assert list(first.values()) == list(cls.reps)
+    for j, rep in enumerate(cls.reps):
+        power = inverse_power = Perm.identity(group.degree)
+        for e in range(2 * rep.order() + 1):
+            assert cls.power_class(j, e) == brute[power.images]
+            assert cls.power_class(j, -e) == brute[inverse_power.images]
+            power = power * rep
+            inverse_power = inverse_power * rep.inverse()
 
 
 def zero_columns(t, i):

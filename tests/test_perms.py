@@ -97,11 +97,15 @@ def test_membership():
 
 def test_enumeration_ids_and_cap():
     s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
+    ids = s4.element_ids()
+    assert list(ids.values()) == list(range(24))
+    assert next(iter(ids)) == tuple(range(4))
     elems = s4.elements()
-    assert len(elems) == 24
     assert len(set(elems)) == 24
-    ids = sorted(s4.element_id(g) for g in elems)
-    assert ids == list(range(24))
+    assert [g.images for g in elems] == list(ids)
+    assert all(g in s4 for g in elems)
+    with pytest.raises(CapExceeded):
+        s4.element_ids(Caps(enum_cap=10))
     with pytest.raises(CapExceeded):
         s4.elements(Caps(enum_cap=10))
 

@@ -42,6 +42,12 @@ def test_class_zero_is_identity_and_equation_holds():
             assert cls.class_of(rep) == j
 
 
+def test_class_of_rejects_elements_outside_group():
+    cls = conjugacy_classes(grp("A4"))
+    with pytest.raises(ValueError, match="not in group"):
+        cls.class_of(parse_cycles("(1 2)", 4))
+
+
 def test_class_of_is_conjugation_invariant():
     g = grp("S5")
     cls = conjugacy_classes(g)
