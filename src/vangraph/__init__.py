@@ -14,7 +14,8 @@ from .harness import (Analysis, CorpusResult, DEFAULT_C44_CONFIGS,
 from .perms import (Perm, PermGroup, commutator, cycle_perm, parse_cycles,
                     read_generator_file)
 from .structure import (ConjugacyClasses, GroupStructure, SeparationAnomaly,
-                        conjugacy_classes, normal_closure, separating_subsets)
+                        conjugacy_classes, joint_stabilizer_index,
+                        normal_closure, separating_subsets)
 from .symchar import (conjugate, degree, is_self_associate, mn_value,
                       partitions, sn_table, witness_cycle_type,
                       witness_partition)
@@ -33,7 +34,7 @@ __all__ = [
     "commutator", "conjugacy_classes", "conjugate", "corpus_run",
     "cycle_perm", "cyclotomic_poly", "default_caps", "degree",
     "distinct_coordinate_vector", "dot_text", "group_order", "is_complete",
-    "is_complete_vertex", "is_self_associate",
+    "is_complete_vertex", "is_self_associate", "joint_stabilizer_index",
     "is_subgraph", "mn_value", "normal_closure", "orbit_census",
     "orbit_size", "parse_cycles", "partitions", "prime_graph",
     "read_generator_file", "report_dict", "separating_subsets", "sn_table",

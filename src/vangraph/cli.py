@@ -15,12 +15,13 @@ import argparse
 import json
 import sys
 
-from .caps import CapExceeded, default_caps
+from .caps import CapExceeded
 from .catalog import SpecError, catalog_group
 from .deleted import census_csv, distinct_coordinate_vector, orbit_census
 from .harness import (FAIL, analyze, check_theorems, corpus_run,
                       load_corpus_config, report_dict)
-from .structure import SeparationAnomaly, separating_subsets
+from .structure import (SeparationAnomaly, joint_stabilizer_index,
+                        separating_subsets)
 from .symchar import mn_value
 from .vanishing import dot_text
 
@@ -121,11 +122,8 @@ def _cmd_sepsets(args) -> int:
         return 1
     print(f"first subset: {[x + 1 for x in g1]}")
     print(f"second subset: {[x + 1 for x in g2]}")
-    elements = group.elements(default_caps())
-    joint = [g for g in elements
-             if {g(x) for x in g1} == set(g1) and {g(x) for x in g2} == set(g2)]
-    print(f"joint stabilizer order {len(joint)},"
-          f" index {group.order // len(joint)}")
+    index = joint_stabilizer_index(group, g1, g2)
+    print(f"joint stabilizer order {group.order // index}, index {index}")
     return 0
 
 

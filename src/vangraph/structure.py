@@ -4,8 +4,8 @@ Covers: class enumeration by conjugation orbits, permutation-level
 normal closures, and GroupStructure, which reads the
 centre, minimal normal subgroups, the Fitting subgroup, normal
 p-complements, a chief series, p-solvability and the derived subgroup
-off the character table as sets of class indices.  Also exhaustive
-setwise-stabilizer separations for small point sets.
+off the character table as sets of class indices.  Also separating
+point subsets for small degrees, found by counting pair orbits.
 
 Everything is deterministic: classes are discovered in element
 enumeration order (identity first, so class 0 is always the identity
@@ -283,12 +283,61 @@ class GroupStructure:
         return self.derived_subgroup <= comp
 
 
+def _mask_tables(group: PermGroup) -> list[list[int]]:
+    """For each generator g, the table m -> m^g over all 2^n point masks
+    (bit x of m is point x)."""
+    tables = []
+    for g in group.generators:
+        bits = [1 << y for y in g.images]
+        table = [0] * (1 << group.degree)
+        for m in range(1, len(table)):
+            low = m & -m
+            table[m] = table[m ^ low] | bits[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _pair_orbit(tables: list[list[int]], n: int, pair: int) -> list[int]:
+    """G-orbit of the ordered pair of subsets encoded as a | b << n, by
+    breadth-first search over the generator tables."""
+    low = (1 << n) - 1
+    orbit = [pair]
+    seen = {pair}
+    for key in orbit:
+        a, b = key & low, key >> n
+        for table in tables:
+            image = table[a] | table[b] << n
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
+def _mask(points: tuple[int, ...]) -> int:
+    return sum(1 << x for x in points)
+
+
+def joint_stabilizer_index(group: PermGroup, g1: tuple[int, ...],
+                           g2: tuple[int, ...]) -> int:
+    """Index of the joint setwise stabilizer of g1 and g2 in the group:
+    the length of the G-orbit of the pair (g1, g2) (orbit-stabilizer)."""
+    n = group.degree
+    return len(_pair_orbit(_mask_tables(group), n, _mask(g1) | _mask(g2) << n))
+
+
 def separating_subsets(group: PermGroup, p: int, q: int,
                        caps: Caps | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First pair of disjoint nonempty point subsets (by total size, then
     size of the first, then lexicographic order) whose joint setwise
     stabilizer has index divisible by every one of p, q that divides the
-    group order.  Exhaustive, so the degree is capped.
+    group order.
+
+    The index of a pair is the length of its G-orbit, counted by
+    breadth-first search over 2^n-entry mask tables of the generators;
+    G is never enumerated.  Every pair of one orbit gets that length at
+    once, so each pair is visited at most once: at most 3^n * |gens|
+    steps for any |G|.  Only ``caps.sepset_points_cap`` bounds the
+    search, through the degree n.
 
     Raises SeparationAnomaly if the search exhausts without a witness:
     that contradicts the expected behaviour and must never be silent.
@@ -300,33 +349,22 @@ def separating_subsets(group: PermGroup, p: int, q: int,
     if n < 2:
         raise ValueError("need at least two points")
     targets = [r for r in (p, q) if group.order % r == 0]
-    images = list(group.element_ids(caps))
+    tables = _mask_tables(group)
     points = range(n)
-    order = group.order
-    setwise_cache: dict[tuple[int, ...], list] = {}
-
-    def setwise(sub: tuple[int, ...]) -> list:
-        if sub not in setwise_cache:
-            s = set(sub)
-            setwise_cache[sub] = [im for im in images if {im[x] for x in sub} == s]
-        return setwise_cache[sub]
 
     for total in range(2, 2 * n + 1):
-        for s1 in range(max(1, total - n), total):
-            s2 = total - s1
-            if s1 > n or s2 < 1:
-                continue
+        for s1 in range(max(1, total - n), min(total, n + 1)):
+            # orbits keep both sizes, so each size class has its own memo
+            index: dict[int, int] = {}
             for g1 in combinations(points, s1):
-                set1 = set(g1)
-                stab1 = setwise(g1)
-                rest = [x for x in points if x not in set1]
-                if len(rest) < s2:
-                    continue
-                for g2 in combinations(rest, s2):
-                    set2 = set(g2)
-                    joint = sum(1 for im in stab1 if {im[x] for x in g2} == set2)
-                    index = order // joint
-                    if all(index % r == 0 for r in targets):
+                m1 = _mask(g1)
+                rest = [x for x in points if not m1 >> x & 1]
+                for g2 in combinations(rest, total - s1):
+                    pair = m1 | _mask(g2) << n
+                    if pair not in index:
+                        orbit = _pair_orbit(tables, n, pair)
+                        index.update(dict.fromkeys(orbit, len(orbit)))
+                    if all(index[pair] % r == 0 for r in targets):
                         return g1, g2
     raise SeparationAnomaly(group, p, q)
 

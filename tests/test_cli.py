@@ -164,6 +164,14 @@ def test_sepsets(capsys):
     assert "index 6" in out
 
 
+def test_sepsets_beyond_enumeration_cap(capsys):
+    # |S9| = 362880 is above the enumeration cap; sepsets never enumerates
+    code, out, _ = run(capsys, "sepsets", "S9", "--p", "2", "--q", "3")
+    assert code == 0
+    assert out == ("first subset: [1]\nsecond subset: [2]\n"
+                   "joint stabilizer order 5040, index 72\n")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "vangraph", "check", "S3"],
                           capture_output=True, text=True)

@@ -1,10 +1,12 @@
 """Conjugacy classes, normal structure, solvability machinery."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from test_dixon import two_generator_groups
 
 from vangraph import catalog
 from vangraph.caps import CapExceeded, Caps
@@ -13,7 +15,8 @@ from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
 from vangraph.perms import PermGroup, parse_cycles
 from vangraph.structure import (GroupStructure, conjugacy_classes,
-                                normal_closure, separating_subsets)
+                                joint_stabilizer_index, normal_closure,
+                                separating_subsets)
 
 
 def grp(spec):
@@ -326,10 +329,27 @@ def test_structure_report_shape(analyses):
     assert rep["verdicts"] == []
 
 
-def setwise_stabilizer_order(g, subset):
-    target = set(subset)
+def joint_stabilizer_order(g, g1, g2):
+    set1, set2 = set(g1), set(g2)
     return sum(1 for x in g.elements()
-               if {x.images[i] for i in target} == target)
+               if {x.images[i] for i in g1} == set1
+               and {x.images[i] for i in g2} == set2)
+
+
+def enumeration_separating_subsets(g, p, q):
+    """The search before pair orbits: the same order, with each joint
+    stabilizer counted over every element of G."""
+    targets = [r for r in (p, q) if g.order % r == 0]
+    n = g.degree
+    for total in range(2, 2 * n + 1):
+        for s1 in range(max(1, total - n), total):
+            for g1 in combinations(range(n), s1):
+                rest = [x for x in range(n) if x not in g1]
+                for g2 in combinations(rest, total - s1):
+                    index = g.order // joint_stabilizer_order(g, g1, g2)
+                    if all(index % r == 0 for r in targets):
+                        return g1, g2
+    return None
 
 
 def test_separating_subsets_contract():
@@ -340,13 +360,27 @@ def test_separating_subsets_contract():
             g1, g2 = separating_subsets(g, p, q)
             assert g1 and g2
             assert not set(g1) & set(g2)
-            both = set(g1) | set(g2)
-            stab = sum(
-                1 for x in g.elements()
-                if {x.images[i] for i in g1} == set(g1)
-                and {x.images[i] for i in g2} == set(g2))
-            index = g.order // stab
-            assert index % p == 0 and index % q == 0, (spec, p, q, both)
+            index = g.order // joint_stabilizer_order(g, g1, g2)
+            assert index % p == 0 and index % q == 0, (spec, p, q, g1, g2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_generator_groups.filter(lambda g: g.degree >= 2))
+def test_separating_subsets_match_enumeration(g):
+    for p, q in ((2, 3), (2, 5), (3, 5), (5, 7)):
+        assert separating_subsets(g, p, q) == \
+            enumeration_separating_subsets(g, p, q), (g, p, q)
+
+
+def test_joint_stabilizer_index_matches_enumeration():
+    for spec in ("S4", "A5", "D12"):
+        g = grp(spec)
+        n = g.degree
+        for labels in product(range(3), repeat=n):
+            g1 = tuple(x for x in range(n) if labels[x] == 1)
+            g2 = tuple(x for x in range(n) if labels[x] == 2)
+            assert joint_stabilizer_index(g, g1, g2) * \
+                joint_stabilizer_order(g, g1, g2) == g.order, (spec, g1, g2)
 
 
 def test_separating_subsets_trivial_targets():
@@ -354,6 +388,20 @@ def test_separating_subsets_trivial_targets():
     # primes outside pi(G) impose no constraint but a witness still returns
     g1, g2 = separating_subsets(g, 7, 11)
     assert g1 and g2 and not set(g1) & set(g2)
+
+
+def test_separating_subsets_caps():
+    # only the point count bounds the search; G is never enumerated
+    with pytest.raises(CapExceeded):
+        separating_subsets(grp("C13"), 13, 2)
+    s7 = grp("S7")
+    assert separating_subsets(s7, 2, 3, Caps(enum_cap=10)) == \
+        separating_subsets(s7, 2, 3)
+    s9 = grp("S9")
+    assert s9.order > Caps().enum_cap
+    g1, g2 = separating_subsets(s9, 2, 3)
+    assert (g1, g2) == ((0,), (1,))
+    assert joint_stabilizer_index(s9, g1, g2) == 72
 
 
 def test_caps_raise_cap_exceeded():
