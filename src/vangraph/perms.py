@@ -52,10 +52,7 @@ class Perm:
         return Perm(tuple(o[i] for i in self.images))
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
+        return Perm(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -94,12 +91,6 @@ class Perm:
     def sign(self) -> int:
         odd_cycles = sum(1 for c in self.cycles() if len(c) % 2 == 0)
         return -1 if odd_cycles % 2 else 1
-
-    def min_moved(self) -> int | None:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
 
     def cycle_string(self) -> str:
         """1-based cycle notation; the identity prints as ``()``."""
@@ -173,10 +164,26 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return perm
 
 
-@dataclass(frozen=True)
-class _Level:
-    point: int
-    transversal: dict[int, Perm]
+def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(g)
+    for i, j in enumerate(g):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _sift(chain, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+    """Strip the image tuple g through the levels of chain from start on.
+
+    Each level is (b, {p: u_p^-1}), where u_p sends the base point b to
+    p.  Returns the residue and the level where g left the chain, which
+    is len(chain) when g passed every level."""
+    for i in range(start, len(chain)):
+        b, inverses = chain[i]
+        inverse = inverses.get(g[b])
+        if inverse is None:
+            return g, i
+        g = tuple(map(inverse.__getitem__, g))
+    return g, len(chain)
 
 
 class PermGroup:
@@ -209,107 +216,74 @@ class PermGroup:
     # -- Schreier-Sims ---------------------------------------------------
 
     @cached_property
-    def _chain(self) -> tuple[_Level, ...]:
-        degree = self.degree
-        base: list[int] = []
-        introduced: list[list[Perm]] = []
+    def _chain(self) -> tuple[tuple[int, dict[int, tuple[int, ...]]], ...]:
+        """Levels (b, {p: u_p^-1}) of image tuples, top level first.
 
-        def place(g: Perm):
-            for i, b in enumerate(base):
-                if g(b) != b:
-                    introduced[i].append(g)
-                    return
-            m = g.min_moved()
-            base.append(m)
-            introduced.append([g])
+        Level i is recomputed on each visit from the strong generators
+        placed at levels i, i+1, ...; a new generator at level j sends
+        the walk back to j, so every level's last visit saw its final
+        generators."""
+        identity = tuple(range(self.degree))
+        chain: list[tuple[int, dict]] = []
+        placed: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
 
-        def level_gens(i: int) -> list[Perm]:
-            return [g for lvl in introduced[i:] for g in lvl]
+        def place(g, level):
+            if level == len(chain):
+                b = next(p for p, q in enumerate(g) if p != q)
+                chain.append((b, {b: identity}))
+                placed.append([])
+            placed[level].append((g, _inverse(g)))
 
-        def orbit_transversal(i: int) -> dict[int, Perm]:
-            b = base[i]
-            gens_i = level_gens(i)
-            trans = {b: Perm.identity(degree)}
-            queue = [b]
-            while queue:
-                p = queue.pop(0)
-                up = trans[p]
-                for g in gens_i:
-                    q = g(p)
-                    if q not in trans:
-                        trans[q] = up * g
-                        queue.append(q)
-            return trans
+        def schreier_residue(i):
+            """The first Schreier generator of level i that does not sift
+            to the identity, as (residue, level), or None."""
+            b, inverses = chain[i]
+            gens = [pair for level in placed[i:] for pair in level]
+            inverses.clear()
+            inverses[b] = identity
+            orbit = [b]
+            for p in orbit:
+                for g, g_inv in gens:
+                    q = g[p]
+                    if q not in inverses:
+                        inverses[q] = tuple(map(inverses[p].__getitem__, g_inv))
+                        orbit.append(q)
+            for p in sorted(inverses):
+                u = _inverse(inverses[p])
+                for g, _ in gens:
+                    # u_p * g * u_{g(p)}^-1, composed left to right
+                    schreier = tuple(map(inverses[g[p]].__getitem__,
+                                         map(g.__getitem__, u)))
+                    if schreier != identity:
+                        residue, j = _sift(chain, schreier, i + 1)
+                        if residue != identity:
+                            return residue, j
+            return None
 
+        # before the walk every level holds only {b: identity}, so a sift
+        # stops at the first base point that g moves
         for g in self.generators:
-            place(g)
-
-        transversals: list[dict[int, Perm] | None] = [None] * len(base)
-
-        def sift(g: Perm, start: int) -> tuple[Perm, int]:
-            for i in range(start, len(base)):
-                p = g(base[i])
-                t = transversals[i]
-                if p not in t:
-                    return g, i
-                g = g * t[p].inverse()
-            return g, len(base)
-
-        i = len(base) - 1
+            place(g.images, _sift(chain, g.images, 0)[1])
+        i = len(chain) - 1
         while i >= 0:
-            transversals[i] = orbit_transversal(i)
-            gens_i = level_gens(i)
-            trans = transversals[i]
-            complete = True
-            for p in sorted(trans):
-                up = trans[p]
-                for g in gens_i:
-                    schreier = up * g * trans[g(p)].inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue, j = sift(schreier, i + 1)
-                    if residue.is_identity():
-                        continue
-                    if j == len(base):
-                        base.append(residue.min_moved())
-                        introduced.append([])
-                        transversals.append(None)
-                    introduced[j].append(residue)
-                    i = j
-                    complete = False
-                    break
-                if not complete:
-                    break
-            if complete:
+            found = schreier_residue(i)
+            if found is None:
                 i -= 1
-
-        # rebuild final transversals top-down so orders are consistent
-        final = []
-        for i in range(len(base)):
-            final.append(_Level(base[i], orbit_transversal(i)))
-        return tuple(final)
+            else:
+                place(*found)
+                i = found[1]
+        return tuple(chain)
 
     @cached_property
     def order(self) -> int:
-        n = 1
-        for lvl in self._chain:
-            n *= len(lvl.transversal)
-        return n
-
-    def _sift_chain(self, g: Perm) -> Perm:
-        for lvl in self._chain:
-            p = g(lvl.point)
-            if p not in lvl.transversal:
-                return g
-            g = g * lvl.transversal[p].inverse()
-        return g
+        return math.prod(len(inverses) for _, inverses in self._chain)
 
     def __contains__(self, g: Perm) -> bool:
         if not isinstance(g, Perm):
             return False
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self._sift_chain(g).is_identity()
+        return _sift(self._chain, g.images, 0)[0] == tuple(range(self.degree))
 
     # -- enumeration -----------------------------------------------------
 

@@ -20,7 +20,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .caps import Caps, CapExceeded, default_caps
-from .numth import is_prime_power, prime_divisors
+from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import Perm, PermGroup, commutator
 
 if TYPE_CHECKING:
@@ -320,8 +320,13 @@ def _mask(points: tuple[int, ...]) -> int:
 def joint_stabilizer_index(group: PermGroup, g1: tuple[int, ...],
                            g2: tuple[int, ...]) -> int:
     """Index of the joint setwise stabilizer of g1 and g2 in the group:
-    the length of the G-orbit of the pair (g1, g2) (orbit-stabilizer)."""
+    the length of the G-orbit of the pair (g1, g2) (orbit-stabilizer).
+    Raises ValueError unless g1 and g2 each hold distinct points of
+    0..n-1."""
     n = group.degree
+    if not all(0 <= x < n for x in g1 + g2) or \
+            len(set(g1)) + len(set(g2)) < len(g1) + len(g2):
+        raise ValueError(f"subsets must hold distinct points of 0..{n - 1}")
     return len(_pair_orbit(_mask_tables(group), n, _mask(g1) | _mask(g2) << n))
 
 
@@ -339,9 +344,12 @@ def separating_subsets(group: PermGroup, p: int, q: int,
     steps for any |G|.  Only ``caps.sepset_points_cap`` bounds the
     search, through the degree n.
 
-    Raises SeparationAnomaly if the search exhausts without a witness:
-    that contradicts the expected behaviour and must never be silent.
+    Raises ValueError unless p and q are both prime, and
+    SeparationAnomaly if the search exhausts without a witness: that
+    contradicts the expected behaviour and must never be silent.
     """
+    if not (is_prime(p) and is_prime(q)):
+        raise ValueError(f"p and q must be prime, got {p} and {q}")
     caps = caps or default_caps()
     n = group.degree
     if n > caps.sepset_points_cap:

@@ -96,12 +96,6 @@ def centralizer_order(mu) -> int:
     return out
 
 
-# The memo table below is shared process-wide; it is only safe without
-# locking because evaluation is confined to one thread per process (the
-# corpus runner parallelizes with processes, never threads).
-_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-
 def mn_value(lam, mu) -> int:
     """Character value chi_lambda on cycle type mu, |lam| = |mu|.
 
@@ -117,13 +111,10 @@ def mn_value(lam, mu) -> int:
     return _mn(lam, mu)
 
 
+@cache
 def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    got = _memo.get(key)
-    if got is not None:
-        return got
     r, rest = mu[0], mu[1:]   # largest cycle first
     ell = len(lam)
     beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
@@ -138,7 +129,6 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         sub = tuple(m - (ell - 1 - i) for i, m in enumerate(moved))
         sub = tuple(p for p in sub if p > 0)
         total += (-1 if passed % 2 else 1) * _mn(sub, rest)
-    _memo[key] = total
     return total
 
 
@@ -154,16 +144,11 @@ def witness_partition(n: int, t: int,
     """
     if n < 7 or t < 2:
         raise ValueError("need n >= 7 and t >= 2")
+    mu = witness_cycle_type(n, t, has_fixed_point)
     if has_fixed_point:
-        if (n - 1) % t:
-            raise ValueError(f"type (t,..,t,1) needs t | n-1: t={t}, n={n}")
-        mu = (t,) * ((n - 1) // t) + (1,)
         wit = (n - 1, 1)
     else:
-        if n % t:
-            raise ValueError(f"type (t,..,t) needs t | n: t={t}, n={n}")
-        mu = (t,) * (n // t)
-        wit = (n - t - 1, t, 1) if n // t >= 3 else (n - 3, 2, 1)
+        wit = (n - t - 1, t, 1) if len(mu) >= 3 else (n - 3, 2, 1)
     if mn_value(wit, mu) != 0:
         raise AssertionError(f"witness {wit} does not vanish on {mu}")
     if is_self_associate(wit):
@@ -175,10 +160,10 @@ def witness_cycle_type(n: int, t: int,
                        has_fixed_point: bool) -> tuple[int, ...]:
     if has_fixed_point:
         if (n - 1) % t:
-            raise ValueError("t must divide n-1")
+            raise ValueError(f"t must divide n-1: t={t}, n={n}")
         return (t,) * ((n - 1) // t) + (1,)
     if n % t:
-        raise ValueError("t must divide n")
+        raise ValueError(f"t must divide n: t={t}, n={n}")
     return (t,) * (n // t)
 
 

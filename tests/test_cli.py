@@ -172,6 +172,14 @@ def test_sepsets_beyond_enumeration_cap(capsys):
                    "joint stabilizer order 5040, index 72\n")
 
 
+def test_sepsets_rejects_non_primes(capsys):
+    for p, q in (("0", "3"), ("4", "6")):
+        code, out, err = run(capsys, "sepsets", "S4", "--p", p, "--q", q)
+        assert code == 2, (p, q)
+        assert out == ""
+        assert err.startswith("error: p and q must be prime")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "vangraph", "check", "S3"],
                           capture_output=True, text=True)

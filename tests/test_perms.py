@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vangraph.caps import CapExceeded, Caps
@@ -78,6 +78,14 @@ def test_group_orders():
     trivial = PermGroup([], degree=5)
     assert trivial.order == 1
     assert trivial.generators == ()
+    # above the enumeration cap, so only the chain can give these
+    s9 = PermGroup([p("(1 2)", 9), p("(1 2 3 4 5 6 7 8 9)", 9)])
+    assert s9.order == math.factorial(9)
+    a10 = PermGroup([p("(1 2 3)", 10), p("(2 3 4 5 6 7 8 9 10)", 10)])
+    assert a10.order == math.factorial(10) // 2
+    s12 = PermGroup([p("(1 2)", 12), p("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)])
+    assert s12.order == math.factorial(12)
+    assert s9.order > Caps().enum_cap
 
 
 def test_degree_inference_and_empty_group():
@@ -155,3 +163,20 @@ def test_composition_associative_and_sign_multiplicative(triple):
     a, b, c = (Perm(tuple(t)) for t in triple)
     assert (a * b) * c == a * (b * c)
     assert (a * b).sign() == a.sign() * b.sign()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.lists(st.permutations(range(n)), min_size=1, max_size=10))))
+def test_chain_matches_enumeration(case):
+    # the Schreier-Sims chain and the breadth-first enumeration are two
+    # independent derivations of the same group
+    gens, xs = case
+    g = PermGroup([Perm(tuple(im)) for im in gens], degree=len(gens[0]))
+    ids = g.element_ids()
+    assert g.order == len(ids)
+    assert all(Perm(e) in g for e in list(ids)[-5:])
+    for images in xs:
+        x = Perm(tuple(images))
+        assert (x in g) == (x.images in ids)

@@ -383,6 +383,16 @@ def test_joint_stabilizer_index_matches_enumeration():
                 joint_stabilizer_order(g, g1, g2) == g.order, (spec, g1, g2)
 
 
+def test_joint_stabilizer_index_rejects_bad_points():
+    s4 = grp("S4")
+    # bit 5 of the first mask would alias point 1 of the second subset,
+    # and a repeated point 0 would alias point 1
+    for g1, g2 in (((5,), ()), ((9,), ()), ((0,), (4,)), ((-1,), (2,)),
+                   ((0, 0), ()), ((), (2, 2))):
+        with pytest.raises(ValueError):
+            joint_stabilizer_index(s4, g1, g2)
+
+
 def test_separating_subsets_trivial_targets():
     g = grp("S3")
     # primes outside pi(G) impose no constraint but a witness still returns
