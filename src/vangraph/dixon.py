@@ -82,10 +82,6 @@ def character_table(classes: ConjugacyClasses,
     if k > caps.table_class_cap:
         raise CapExceeded(f"{k} classes exceeds table cap {caps.table_class_cap}")
     order = classes.group.order
-    if k == 1:
-        one = Cyc.integer(1)
-        return CharacterTable(classes, (1,), ((one,),), 3)
-
     exponent = group_exponent(classes)
     ell = dixon_prime(order, exponent)
     rng = random.Random(_SPLIT_SEED)

@@ -3,9 +3,10 @@
 Each check encodes one published statement: its hypothesis is evaluated
 mechanically, and the verdict is PASS or FAIL only when the hypothesis
 holds (with a machine-checkable witness on FAIL), VACUOUS when it does
-not, and INDETERMINATE when an enumeration cap blocked a subquestion.
-A corpus run emits one JSON report line per group, sorted by the group
-description, and exits 0 only if nothing FAILed.
+not.  INDETERMINATE comes only from a capped analysis: every requested
+check of that corpus group gets it.  A corpus run emits one JSON report
+line per group, sorted by the group description, and exits 0 only if
+nothing FAILed.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from math import gcd
 from .caps import CapExceeded, Caps, default_caps
 from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
-from .numth import is_prime, is_prime_power, prime_divisors
+from .numth import is_prime, is_prime_power
 from .perms import PermGroup, parse_cycles
 from .structure import (ConjugacyClasses, GroupStructure, conjugacy_classes,
                         normal_closure)
-from .vanishing import (VanishingReport, is_complete, is_complete_vertex,
-                        vanishing_report)
+from .vanishing import (PrimeGraph, VanishingReport, is_complete_vertex,
+                        prime_graph, vanishing_report)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -143,10 +144,8 @@ def check_missing_edge_solvability(analysis: Analysis) -> Verdict:
     if not analysis.structure.nonabelian_minimal_normals:
         return Verdict("CHK-THMA", VACUOUS,
                        "no nonabelian minimal normal subgroup")
-    v_all = analysis.vanishing.size_primes
-    graph_v = analysis.vanishing.vanishing_graph
-    pairs = [(p, q) for i, p in enumerate(v_all) for q in v_all[i + 1:]
-             if not graph_v.has_edge(p, q)]
+    pairs = analysis.vanishing.vanishing_graph.non_edges(
+        analysis.vanishing.size_primes)
     if not pairs:
         return Verdict("CHK-THMA", VACUOUS,
                        "every prime pair of V(G) is joined in the"
@@ -170,10 +169,9 @@ def check_trivial_fitting(analysis: Analysis) -> Verdict:
         return Verdict("CHK-THMB", FAIL,
                        "prime divisors missing from V_v",
                        {"missing": missing, "V_v": sorted(v_van)})
-    if not is_complete(analysis.vanishing.vanishing_graph):
-        g = analysis.vanishing.vanishing_graph
-        absent = [[p, q] for i, p in enumerate(g.vertices)
-                  for q in g.vertices[i + 1:] if not g.has_edge(p, q)]
+    g = analysis.vanishing.vanishing_graph
+    absent = g.non_edges(g.vertices)
+    if absent:
         return Verdict("CHK-THMB", FAIL, "vanishing graph is not complete",
                        {"missing_edges": absent})
     return Verdict("CHK-THMB", PASS,
@@ -210,6 +208,13 @@ def _unique_nonabelian_minimal(analysis: Analysis) -> frozenset[int] | None:
     return None
 
 
+def _vanishing_graph_inside(analysis: Analysis, m_sub) -> PrimeGraph:
+    """Prime graph of the vanishing class sizes inside a class set."""
+    sizes = analysis.classes.sizes
+    return prime_graph(sizes[k] for k in analysis.vanishing.vanishing_classes
+                       if k in m_sub)
+
+
 def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
     """Unique nonabelian minimal normal subgroup M forces pi(G) = V_v,
     with witnesses available inside M."""
@@ -217,12 +222,8 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
     if m_sub is None:
         return Verdict("CHK-L32", VACUOUS,
                        "no unique nonabelian minimal normal subgroup")
-    sizes = analysis.classes.sizes
-    van = set(analysis.vanishing.vanishing_classes)
-    missing = []
-    for p in analysis.structure.primes:
-        if not any(k in van and sizes[k] % p == 0 for k in m_sub):
-            missing.append(p)
+    witnessed = _vanishing_graph_inside(analysis, m_sub).vertices
+    missing = [p for p in analysis.structure.primes if p not in witnessed]
     if missing:
         return Verdict("CHK-L32", FAIL,
                        "no vanishing witness inside the minimal normal"
@@ -252,15 +253,8 @@ def check_almost_simple_edges(analysis: Analysis) -> Verdict:
     socle = _unique_nonabelian_minimal(analysis)
     if socle is None or not _is_simple(analysis, socle):
         return Verdict("CHK-P34", VACUOUS, "group is not almost simple")
-    sizes = analysis.classes.sizes
-    van = set(analysis.vanishing.vanishing_classes)
-    primes = analysis.structure.primes
-    bad = []
-    for i, p in enumerate(primes):
-        for q in primes[i + 1:]:
-            if not any(k in van and sizes[k] % (p * q) == 0
-                       for k in socle):
-                bad.append([p, q])
+    bad = _vanishing_graph_inside(analysis, socle).non_edges(
+        analysis.structure.primes)
     if bad:
         return Verdict("CHK-P34", FAIL,
                        "prime pairs lacking a socle vanishing witness",
@@ -291,30 +285,18 @@ def check_outside_vanishing_primes(analysis: Analysis) -> Verdict:
 
 def check_degree_size_pairs(analysis: Analysis) -> Verdict:
     """pq dividing a character degree forces pq to divide a class size."""
-    pairs = set()
-    for d in analysis.table.degrees:
-        ps = prime_divisors(d)
-        for i, p in enumerate(ps):
-            for q in ps[i + 1:]:
-                pairs.add((p, q))
+    pairs = list(prime_graph(analysis.table.degrees).edges)
     if not pairs:
         return Verdict("CHK-CD-A", VACUOUS,
                        "no character degree has two distinct prime"
                        " divisors")
-    sizes = analysis.classes.sizes
-    bad = [[p, q] for p, q in sorted(pairs)
-           if not any(s % (p * q) == 0 for s in sizes)]
+    bad = [e for e in pairs if not analysis.vanishing.graph.has_edge(*e)]
     if bad:
         return Verdict("CHK-CD-A", FAIL,
                        "degree pairs with no matching class size",
                        {"pairs": bad})
     return Verdict("CHK-CD-A", PASS,
-                   f"every degree pair {sorted(pairs)} divides a class size")
-
-
-def _subgroup_from_cycles(group: PermGroup, strings) -> PermGroup:
-    gens = [parse_cycles(s, group.degree) for s in strings]
-    return PermGroup(gens, degree=group.degree)
+                   f"every degree pair {pairs} divides a class size")
 
 
 def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
@@ -327,7 +309,8 @@ def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
     structure = analysis.structure
     reps = analysis.classes.reps
     p = config["p"]
-    subs = tuple(_subgroup_from_cycles(group, config[key])
+    subs = tuple(PermGroup([parse_cycles(s, group.degree)
+                            for s in config[key]], degree=group.degree)
                  for key in ("a", "m", "n"))
     outside = [f"{name} is not a subgroup of G"
                for name, sub in zip("AMN", subs)
@@ -387,15 +370,20 @@ def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
                    f" {m_grp.order // n_grp.order})")
 
 
+def _validate_check_ids(checks) -> None:
+    """Reject unknown check ids; None selects every check."""
+    unknown = set(checks or ()) - set(CHECK_IDS)
+    if unknown:
+        raise ValueError(f"unknown check ids: {sorted(unknown)}")
+
+
 def check_theorems(analysis: Analysis,
                    c44_configs=None,
                    checks=None) -> tuple[Verdict, ...]:
     if c44_configs is None:
         c44_configs = DEFAULT_C44_CONFIGS
-    wanted = set(CHECK_IDS if checks is None else checks)
-    unknown = wanted - set(CHECK_IDS)
-    if unknown:
-        raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    _validate_check_ids(checks)
+    wanted = CHECK_IDS if checks is None else set(checks)
     out = []
     simple_checks = {
         "CHK-PROP": check_same_vertices,
@@ -420,10 +408,7 @@ def check_theorems(analysis: Analysis,
                 out.extend(check_chief_factor_vanishing(analysis, c)
                            for c in mine)
             continue
-        try:
-            out.append(simple_checks[check_id](analysis))
-        except CapExceeded as exc:
-            out.append(Verdict(check_id, INDETERMINATE, str(exc)))
+        out.append(simple_checks[check_id](analysis))
     return tuple(out)
 
 
@@ -470,12 +455,12 @@ def _corpus_worker(args) -> dict:
     spec, c44, checks, caps = args
     try:
         analysis = analyze(spec, caps)
+        verdicts = check_theorems(analysis, c44_configs=c44, checks=checks)
     except CapExceeded as exc:
         return {"spec": spec,
                 "verdicts": [Verdict(check, INDETERMINATE, str(exc)).as_dict()
                              for check in CHECK_IDS
                              if checks is None or check in checks]}
-    verdicts = check_theorems(analysis, c44_configs=c44, checks=checks)
     return report_dict(analysis, verdicts)
 
 
@@ -509,12 +494,20 @@ class CorpusResult:
                 f" INDETERMINATE={c[INDETERMINATE]} {vacuous}")
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 def validate_c44_config(config) -> None:
     if not isinstance(config, dict):
         raise ValueError("chief-factor configuration must be an object")
     for key in ("group", "a", "m", "n", "p"):
         if key not in config:
             raise ValueError(f"chief-factor configuration lacks {key!r}")
+    if not (isinstance(config["group"], str) and type(config["p"]) is int
+            and all(_is_strings(config[key]) for key in "amn")):
+        raise ValueError("chief-factor configuration needs a string 'group',"
+                         " lists of strings 'a', 'm', 'n' and an integer 'p'")
     if not is_prime(config["p"]):
         raise ValueError(f"configured p = {config['p']} is not prime")
     group = catalog_group(config["group"])
@@ -526,18 +519,13 @@ def validate_c44_config(config) -> None:
 def corpus_run(specs=None, c44_configs=None, checks=None, jobs: int = 1,
                caps: Caps | None = None) -> CorpusResult:
     caps = caps or default_caps()
-    specs = list(DEFAULT_CORPUS if specs is None else specs)
-    c44 = list(DEFAULT_C44_CONFIGS if c44_configs is None else c44_configs)
-    ordered = sorted(specs)
+    ordered = sorted(DEFAULT_CORPUS if specs is None else specs)
     for spec in ordered:
         catalog_group(spec)   # parse errors surface before any work
-    for config in c44:
+    for config in c44_configs or ():
         validate_c44_config(config)
-    if checks is not None:
-        unknown = set(checks) - set(CHECK_IDS)
-        if unknown:
-            raise ValueError(f"unknown check ids: {sorted(unknown)}")
-    args = [(spec, c44, checks, caps) for spec in ordered]
+    _validate_check_ids(checks)
+    args = [(spec, c44_configs, checks, caps) for spec in ordered]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_corpus_worker, args))
@@ -551,18 +539,19 @@ def corpus_run(specs=None, c44_configs=None, checks=None, jobs: int = 1,
     return CorpusResult(tuple(reports), counts, exit_code)
 
 
-def load_corpus_config(path) -> tuple[list, list, list | None]:
+def load_corpus_config(path) -> tuple[list, list | None, list | None]:
     """Read a corpus configuration file: {"groups": [...],
-    "c44": [...], "checks": [...]}; groups is required, the rest
-    default.  Raises ValueError on malformed content."""
+    "c44": [...], "checks": [...]}; groups is required, an absent c44 or
+    checks reads None (the default).  Raises ValueError on a bad shape."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "groups" not in data:
         raise ValueError("configuration must be an object with 'groups'")
-    groups = data["groups"]
-    if (not isinstance(groups, list)
-            or not all(isinstance(s, str) for s in groups)):
+    groups, c44, checks = data["groups"], data.get("c44"), data.get("checks")
+    if not _is_strings(groups):
         raise ValueError("'groups' must be a list of strings")
-    c44 = data.get("c44", list(DEFAULT_C44_CONFIGS))
-    checks = data.get("checks")
+    if checks is not None and not _is_strings(checks):
+        raise ValueError("'checks' must be a list of strings")
+    if c44 is not None and not isinstance(c44, list):
+        raise ValueError("'c44' must be a list of objects")
     return groups, c44, checks

@@ -268,10 +268,6 @@ def poly_sub(a, b, p):
     return poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
-def poly_deriv(a, p):
-    return poly_trim(tuple(i * c % p for i, c in enumerate(a)))[1:]
-
-
 def poly_roots(f, p, rng: random.Random) -> list[int]:
     """All roots of f in F_p, each once, ascending.  Equal-degree
     splitting with (x+a)^((p-1)/2) probes from the supplied RNG; p must
@@ -279,12 +275,10 @@ def poly_roots(f, p, rng: random.Random) -> list[int]:
     f = poly_trim(f)
     if len(f) <= 1:
         return []
-    g = poly_gcd(f, poly_deriv(f, p), p)
-    if len(g) > 1:
-        f = poly_divmod(f, g, p)[0]
     xp = poly_powmod((0, 1), p, f, p)
     lin = poly_gcd(poly_sub(xp, (0, 1), p), f, p)
-    # lin = gcd(x^p - x, f): the product of the distinct linear factors
+    # lin = gcd(x^p - x, f): the product of the distinct linear factors,
+    # whatever their multiplicity in f
     roots: list[int] = []
 
     def split(h):

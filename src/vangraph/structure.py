@@ -102,14 +102,16 @@ def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyCl
 
 def normal_closure(group: PermGroup, seeds) -> PermGroup:
     """Smallest normal subgroup of ``group`` containing the seeds:
-    repeatedly conjugate current generators by the group generators and
-    regenerate until closed."""
+    conjugate the last round's new generators by the group generators
+    and regenerate until closed.  Conjugates of older generators already
+    lie in the current subgroup."""
     gens = [s for s in seeds if not s.is_identity()]
+    new = gens
+    queued = {g.images for g in gens}
     while True:
         h = PermGroup(gens, degree=group.degree)
         fresh = []
-        queued = {g.images for g in gens}
-        for x in gens:
+        for x in new:
             for g in group.generators:
                 c = x.conjugate_by(g)
                 if c.images not in queued and c not in h:
@@ -118,6 +120,7 @@ def normal_closure(group: PermGroup, seeds) -> PermGroup:
         if not fresh:
             return h
         gens.extend(fresh)
+        new = fresh
 
 
 def _is_abelian_chief_order(order: int) -> bool:

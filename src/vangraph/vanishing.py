@@ -24,6 +24,12 @@ class PrimeGraph:
         a, b = min(p, q), max(p, q)
         return (a, b) in self.edges
 
+    def non_edges(self, vertices) -> list[tuple[int, int]]:
+        """Pairs p < q of the given vertices that no edge joins."""
+        vs = sorted(vertices)
+        return [(p, q) for i, p in enumerate(vs) for q in vs[i + 1:]
+                if not self.has_edge(p, q)]
+
 
 def prime_graph(sizes) -> PrimeGraph:
     """Graph on primes dividing the given class sizes; {p,q} is an edge
@@ -45,8 +51,7 @@ def is_subgraph(small: PrimeGraph, big: PrimeGraph) -> bool:
 
 
 def is_complete(g: PrimeGraph) -> bool:
-    n = len(g.vertices)
-    return len(g.edges) == n * (n - 1) // 2
+    return not g.non_edges(g.vertices)
 
 
 def is_complete_vertex(g: PrimeGraph, p: int) -> bool:

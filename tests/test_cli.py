@@ -107,6 +107,18 @@ def test_corpus_bad_config_exits_2(capsys, tmp_path):
     config.write_text(json.dumps({"groups": ["NOT_A_GROUP"]}))
     code, _, _ = run(capsys, "corpus", "--config", str(config))
     assert code == 2
+    # malformed shapes are input errors, never the FAIL code or a crash
+    good = dict(harness.DEFAULT_C44_CONFIGS[2])
+    for bad in ({"checks": [["CHK-PROP"]]}, {"checks": "CHK-PROP"},
+                {"c44": [dict(good, a=[1])]},
+                {"c44": [dict(good, a="(1 2 3)")]},
+                {"c44": [dict(good, group=5)]},
+                {"c44": [dict(good, p="3")]}):
+        config.write_text(json.dumps({"groups": ["S3"], **bad}))
+        code, out, err = run(capsys, "corpus", "--config", str(config))
+        assert code == 2, bad
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_symchar(capsys):

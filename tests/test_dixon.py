@@ -130,6 +130,15 @@ def test_dixon_prime_choice():
     assert dixon_prime(60, 30) == 31
 
 
+def test_trivial_group_table():
+    # one class: the general path gives the trivial character mod 3
+    for group in (catalog.catalog_group("C1"), PermGroup([], degree=3)):
+        t = character_table(conjugacy_classes(group))
+        assert t.degrees == (1,)
+        assert t.values == ((Cyc.integer(1),),)
+        assert t.modulus == 3
+
+
 def structure_constants(cls):
     """a[i][j][k] for every i, j, k, read off the class matrices."""
     mats = [class_matrix(cls, i) for i in range(cls.count)]

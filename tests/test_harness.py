@@ -1,8 +1,11 @@
 """Per-group analysis, theorem verdicts, and the corpus runner."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from test_dixon import two_generator_groups
 
 from vangraph import harness
 from vangraph.caps import CapExceeded, Caps
@@ -11,7 +14,9 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               check_theorems, corpus_run,
                               load_corpus_config, report_dict,
                               validate_c44_config)
+from vangraph.numth import prime_divisors
 from vangraph.structure import GroupStructure
+from vangraph.vanishing import prime_graph
 
 
 def verdict_map(analysis, **kw):
@@ -87,8 +92,10 @@ def test_check_subset_only_runs_requested(analyses):
 
 
 def test_c44_config_validation():
+    # corpus_run validates only configurations it is given
+    for config in DEFAULT_C44_CONFIGS:
+        validate_c44_config(config)
     good = dict(DEFAULT_C44_CONFIGS[0])
-    validate_c44_config(good)
     with pytest.raises(ValueError):
         validate_c44_config([])
     for key in ("group", "a", "m", "n", "p"):
@@ -102,6 +109,10 @@ def test_c44_config_validation():
     bad = dict(good, a=["(1 99)"])
     with pytest.raises(ValueError):
         validate_c44_config(bad)
+    for key, value in (("group", 5), ("a", [1]), ("a", "(1 2)(3 4)"),
+                       ("m", None), ("p", "2"), ("p", True)):
+        with pytest.raises(ValueError, match="needs a string 'group'"):
+            validate_c44_config(dict(good, **{key: value}))
 
 
 def test_c44_vacuous_when_hypotheses_fail(analyses):
@@ -252,14 +263,27 @@ def test_load_corpus_config(tmp_path):
         load_corpus_config(path)
 
 
-def test_indeterminate_on_cap(analyses, monkeypatch):
+def test_corpus_check_cap_is_indeterminate(monkeypatch):
+    # a cap hit inside a check marks that group's report INDETERMINATE
+    # and leaves the other group's report as it was
+    clean = corpus_run(["S3", "C4"]).reports
+    check = harness.check_same_vertices
+
     def boom(analysis):
-        raise CapExceeded("forced")
+        if analysis.spec == "S3":
+            raise CapExceeded("forced")
+        return check(analysis)
 
     monkeypatch.setattr(harness, "check_same_vertices", boom)
-    (v,) = check_theorems(analyses("S3"), checks=["CHK-PROP"])
-    assert v.status == INDETERMINATE
-    assert "forced" in v.detail
+    result = corpus_run(["S3", "C4"])
+    c4, s3 = result.reports
+    assert c4 == clean[0]
+    assert s3["spec"] == "S3"
+    assert [v["check"] for v in s3["verdicts"]] == list(harness.CHECK_IDS)
+    assert all(v["status"] == INDETERMINATE and "forced" in v["detail"]
+               for v in s3["verdicts"])
+    assert result.counts[INDETERMINATE] == len(harness.CHECK_IDS)
+    assert result.exit_code == 0
 
 
 def test_explicit_caps_override_environment(analyses, monkeypatch):
@@ -274,3 +298,151 @@ def test_explicit_caps_override_environment(analyses, monkeypatch):
     # the classes hold the whole enumeration, so lookups check no cap
     assert [a.classes.class_of(rep) for rep in a.classes.reps] == \
         list(range(a.classes.count))
+
+
+# The five graph-reading checks written as loops over primes, class
+# sizes and degrees, without PrimeGraph: an independent oracle.
+
+def oracle_thma(analysis):
+    if not analysis.structure.nonabelian_minimal_normals:
+        return Verdict("CHK-THMA", VACUOUS,
+                       "no nonabelian minimal normal subgroup")
+    v_all = analysis.vanishing.size_primes
+    graph_v = analysis.vanishing.vanishing_graph
+    pairs = [(p, q) for i, p in enumerate(v_all) for q in v_all[i + 1:]
+             if not graph_v.has_edge(p, q)]
+    if not pairs:
+        return Verdict("CHK-THMA", VACUOUS,
+                       "every prime pair of V(G) is joined in the"
+                       " vanishing graph")
+    primes = sorted({r for pair in pairs for r in pair})
+    return harness._pair_solvability(
+        analysis, primes, "CHK-THMA",
+        f"{{p,q}}-solvable for every unjoined pair in {pairs}")
+
+
+def oracle_thmb(analysis):
+    structure = analysis.structure
+    if structure.order(structure.fitting_subgroup) != 1:
+        return Verdict("CHK-THMB", VACUOUS, "Fitting subgroup is nontrivial")
+    primes = set(structure.primes)
+    v_van = set(analysis.vanishing.vanishing_size_primes)
+    missing = sorted(primes - v_van)
+    if missing:
+        return Verdict("CHK-THMB", FAIL,
+                       "prime divisors missing from V_v",
+                       {"missing": missing, "V_v": sorted(v_van)})
+    g = analysis.vanishing.vanishing_graph
+    n = len(g.vertices)
+    if len(g.edges) != n * (n - 1) // 2:
+        absent = [[p, q] for i, p in enumerate(g.vertices)
+                  for q in g.vertices[i + 1:] if not g.has_edge(p, q)]
+        return Verdict("CHK-THMB", FAIL, "vanishing graph is not complete",
+                       {"missing_edges": absent})
+    return Verdict("CHK-THMB", PASS,
+                   f"V_v = pi(G) = {sorted(primes)} and the vanishing"
+                   " graph is complete")
+
+
+def oracle_l32(analysis):
+    m_sub = harness._unique_nonabelian_minimal(analysis)
+    if m_sub is None:
+        return Verdict("CHK-L32", VACUOUS,
+                       "no unique nonabelian minimal normal subgroup")
+    sizes = analysis.classes.sizes
+    van = set(analysis.vanishing.vanishing_classes)
+    missing = []
+    for p in analysis.structure.primes:
+        if not any(k in van and sizes[k] % p == 0 for k in m_sub):
+            missing.append(p)
+    if missing:
+        return Verdict("CHK-L32", FAIL,
+                       "no vanishing witness inside the minimal normal"
+                       f" subgroup for primes {missing}",
+                       {"primes": missing})
+    return Verdict("CHK-L32", PASS,
+                   "pi(G) = V_v with all witnesses inside the socle")
+
+
+def oracle_p34(analysis):
+    socle = harness._unique_nonabelian_minimal(analysis)
+    if socle is None or not harness._is_simple(analysis, socle):
+        return Verdict("CHK-P34", VACUOUS, "group is not almost simple")
+    sizes = analysis.classes.sizes
+    van = set(analysis.vanishing.vanishing_classes)
+    primes = analysis.structure.primes
+    bad = []
+    for i, p in enumerate(primes):
+        for q in primes[i + 1:]:
+            if not any(k in van and sizes[k] % (p * q) == 0
+                       for k in socle):
+                bad.append([p, q])
+    if bad:
+        return Verdict("CHK-P34", FAIL,
+                       "prime pairs lacking a socle vanishing witness",
+                       {"pairs": bad})
+    return Verdict("CHK-P34", PASS,
+                   "all prime pairs joined through socle witnesses")
+
+
+def oracle_cd_a(analysis):
+    pairs = set()
+    for d in analysis.table.degrees:
+        ps = prime_divisors(d)
+        for i, p in enumerate(ps):
+            for q in ps[i + 1:]:
+                pairs.add((p, q))
+    if not pairs:
+        return Verdict("CHK-CD-A", VACUOUS,
+                       "no character degree has two distinct prime"
+                       " divisors")
+    sizes = analysis.classes.sizes
+    bad = [[p, q] for p, q in sorted(pairs)
+           if not any(s % (p * q) == 0 for s in sizes)]
+    if bad:
+        return Verdict("CHK-CD-A", FAIL,
+                       "degree pairs with no matching class size",
+                       {"pairs": bad})
+    return Verdict("CHK-CD-A", PASS,
+                   f"every degree pair {sorted(pairs)} divides a class size")
+
+
+ORACLES = {"CHK-THMA": oracle_thma, "CHK-THMB": oracle_thmb,
+           "CHK-L32": oracle_l32, "CHK-P34": oracle_p34,
+           "CHK-CD-A": oracle_cd_a}
+
+
+def with_vanishing(analysis, classes):
+    """The analysis with only the given classes marked vanishing, so the
+    theorems' FAIL branches are reached too."""
+    vsizes = tuple(analysis.classes.sizes[j] for j in classes)
+    g_van = prime_graph(vsizes)
+    van = dataclasses.replace(
+        analysis.vanishing, vanishing_classes=tuple(classes),
+        vanishing_sizes=vsizes, vanishing_size_primes=g_van.vertices,
+        vanishing_graph=g_van)
+    return dataclasses.replace(analysis, vanishing=van)
+
+
+def assert_graph_checks_match_oracle(analysis):
+    vc = analysis.vanishing.vanishing_classes
+    for keep in (vc, vc[::2], vc[1::2], ()):
+        doctored = with_vanishing(analysis, keep)
+        verdicts = check_theorems(doctored, checks=list(ORACLES))
+        assert [v.check for v in verdicts] == \
+            [c for c in harness.CHECK_IDS if c in ORACLES]
+        for v in verdicts:
+            want = ORACLES[v.check](doctored)
+            assert json.dumps(v.as_dict()) == json.dumps(want.as_dict()), \
+                (v.check, keep)
+
+
+@pytest.mark.parametrize("spec", ["S3 x A5", "A5 x A5", "C7 x A5", "S5"])
+def test_graph_checks_match_loops(analyses, spec):
+    assert_graph_checks_match_oracle(analyses(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_generator_groups)
+def test_graph_checks_match_loops_random(group):
+    assert_graph_checks_match_oracle(harness.analyze(group))

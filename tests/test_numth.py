@@ -74,6 +74,22 @@ def test_poly_arithmetic_mod_p():
     assert numth.poly_gcd((6, 5, 1), (2, 1), 7) == (2, 1)
 
 
+def test_poly_roots_keep_multiplicity_p_roots():
+    # the derivative of (x - a)^p is 0 in characteristic p, so a
+    # square-free reduction f / gcd(f, f') would drop such roots
+    def power(g, e):
+        out = (1,)
+        for _ in range(e):
+            out = numth.poly_mul(out, g, 7)
+        return out
+
+    f = numth.poly_mul(power((6, 1), 7), (5, 1), 7)    # (x-1)^7 (x-2)
+    assert numth.poly_roots(f, 7, random.Random(0)) == [1, 2]
+    assert numth.poly_roots(power((4, 1), 7), 7, random.Random(0)) == [3]
+    g = numth.poly_mul(power((6, 1), 8), power((4, 1), 2), 7)
+    assert numth.poly_roots(g, 7, random.Random(0)) == [1, 3]
+
+
 def test_charpoly_2x2_oracle():
     # x^2 - tr x + det for a 2x2 matrix, ascending coefficients
     mat = ((1, 2), (3, 4))

@@ -41,6 +41,16 @@ def test_subgraph_and_complete():
     assert not is_complete(path)
 
 
+def test_non_edges():
+    path = PrimeGraph((2, 3, 5), ((2, 3), (3, 5)))
+    assert path.non_edges(path.vertices) == [(2, 5)]
+    # any vertex order; primes outside the graph are joined to nothing
+    assert path.non_edges((7, 3, 2)) == [(2, 7), (3, 7)]
+    assert path.non_edges((3,)) == []
+    tri = PrimeGraph((2, 3, 5), ((2, 3), (2, 5), (3, 5)))
+    assert tri.non_edges(tri.vertices) == []
+
+
 def test_complete_vertex():
     path = PrimeGraph((2, 3, 5), ((2, 3), (3, 5)))
     assert is_complete_vertex(path, 3)
