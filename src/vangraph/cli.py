@@ -4,10 +4,10 @@ Subcommands: analyze (full report for one group), check (theorem
 verdicts only), corpus (batch run with the exit-code contract),
 symchar (one character value), modorbit (zero-sum module census),
 sepsets (separating point subsets).  Exit codes: 0 clean, 1 a check
-FAILed, 2 unusable input or a cap hit, 3 an internal consistency check
-failed (a bug, never a verdict).  In corpus a capped group is not an
-exit-2 error: its report marks every requested check INDETERMINATE and
-the run goes on.
+FAILed, 2 unusable input, a cap hit or memory run out, 3 an internal
+consistency check failed (a bug, never a verdict).  In corpus a capped
+group is not an exit-2 error: its report marks every requested check
+INDETERMINATE and the run goes on.
 """
 from __future__ import annotations
 
@@ -181,6 +181,9 @@ def main(argv=None) -> int:
         return 2
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except (ArithmeticError, AssertionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

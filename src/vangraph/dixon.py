@@ -2,9 +2,11 @@
 
 Pipeline: simultaneous eigenspace splitting over a prime field F_l
 (l = 1 mod the group exponent, l squared beyond four times the order)
-by class matrices built one at a time, only while a space is still
-wider than a line -> the mod-l characters read off the common
-eigenvectors, with degrees from the orthogonality norm ->
+by class matrices, smallest class first, while a space is still wider
+than a line; a d-dimensional space reads only the d rows of a class
+matrix at its pivot positions, each row |C_i| products (Schneider's
+refinement of Dixon's method) -> the mod-l characters read off the
+common eigenvectors, with degrees from the orthogonality norm ->
 exact lift to cyclotomic integers through a discrete Fourier transform
 over the power map.
 
@@ -21,29 +23,45 @@ from dataclasses import dataclass
 
 from .caps import Caps, CapExceeded, default_caps
 from .cyclo import Cyc
-from .numth import (charpoly, dixon_prime, mat_vec, nullspace, poly_roots,
-                    primitive_root, solve_in_columns, sqrt_mod)
+from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
+                    primitive_root, rref, sqrt_mod)
 from .structure import ConjugacyClasses
 
 _SPLIT_SEED = 0x0D15C0
 
 
-def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
-    """Multiplication by the class sum K_i on the class-sum basis:
-    entry [r][c] counts the x in class i with x^-1 * rep_r in class c,
-    which is the class constant a[i][c][r].  The x^-1 run over the
-    inverse class, as image tuples.  Costs |C_i| * k products."""
+def class_members(classes: ConjugacyClasses) -> list[list[tuple[int, ...]]]:
+    """The elements of each class as image tuples, in enumeration
+    order: one pass over the |G| element ids."""
+    members = [[] for _ in range(classes.count)]
+    for y, c in zip(classes.ids, classes.class_of_element):
+        members[c].append(y)
+    return members
+
+
+def class_matrix_row(classes: ConjugacyClasses,
+                     inverse_members: list[tuple[int, ...]],
+                     r: int) -> list[int]:
+    """Row r of the class matrix M_i, given the members of the inverse
+    class of i: entry c counts the x in class i with x^-1 * rep_r in
+    class c, which is the class constant a[i][c][r].  Costs |C_i|
+    products."""
     ids = classes.ids
     class_of = classes.class_of_element
-    inv = classes.inverse_class(i)
-    k = classes.count
-    mat = [[0] * k for _ in range(k)]
-    for y, cy in zip(ids, class_of):
-        if cy != inv:
-            continue
-        for r, rep in enumerate(classes.reps):
-            mat[r][class_of[ids[tuple(map(rep.images.__getitem__, y))]]] += 1
-    return mat
+    rep = classes.reps[r].images
+    row = [0] * classes.count
+    for y in inverse_members:
+        row[class_of[ids[tuple(map(rep.__getitem__, y))]]] += 1
+    return row
+
+
+def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
+    """Multiplication by the class sum K_i on the class-sum basis, as
+    the stack of its k rows: |C_i| * k products, after one pass over
+    the element ids."""
+    inverse_members = class_members(classes)[classes.inverse_class(i)]
+    return [class_matrix_row(classes, inverse_members, r)
+            for r in range(classes.count)]
 
 
 def group_exponent(classes: ConjugacyClasses) -> int:
@@ -84,52 +102,7 @@ def character_table(classes: ConjugacyClasses,
     order = classes.group.order
     exponent = group_exponent(classes)
     ell = dixon_prime(order, exponent)
-    rng = random.Random(_SPLIT_SEED)
-    spaces = [[_unit_vector(k, j) for j in range(k)]]  # list of column bases
-
-    def refine(space, mat):
-        d = len(space)
-        mb = [mat_vec(mat, col, ell) for col in space]
-        coords_cols = solve_in_columns(space, mb, ell)
-        rt = [[coords_cols[c][rw] for c in range(d)] for rw in range(d)]
-        roots = poly_roots(charpoly(rt, ell), ell, rng)
-        if len(roots) <= 1:
-            return [space]
-        out = []
-        covered = 0
-        for lam in roots:
-            shifted = [[(rt[a][b] - (lam if a == b else 0)) % ell
-                        for b in range(d)] for a in range(d)]
-            sub = []
-            for coords in nullspace(shifted, ell):
-                vec = [0] * k
-                for c, col in zip(coords, space):
-                    if c:
-                        for t in range(k):
-                            vec[t] = (vec[t] + c * col[t]) % ell
-                sub.append(vec)
-            covered += len(sub)
-            out.append(sub)
-        if covered != d:
-            raise ArithmeticError("class matrix restriction was not diagonalisable")
-        return out
-
-    # l does not divide |G|, so the class algebra over F_l is split
-    # semisimple: once every class matrix has been applied, each common
-    # eigenspace is a line.
-    for i in range(1, k):
-        if all(len(s) == 1 for s in spaces):
-            break
-        mat = [[a % ell for a in row] for row in class_matrix(classes, i)]
-        nxt = []
-        for space in spaces:
-            if len(space) == 1:
-                nxt.append(space)
-            else:
-                nxt.extend(refine(space, mat))
-        spaces = nxt
-    if not all(len(s) == 1 for s in spaces):
-        raise ArithmeticError("eigenspace splitting failed to separate characters")
+    lines = _eigenlines(classes, ell, random.Random(_SPLIT_SEED))
 
     # each line is spanned by v with v[j] proportional to chi(rep_j^-1),
     # so chi(rep_j) / chi(1) = v[inv j] / v[0], and the first
@@ -138,7 +111,7 @@ def character_table(classes: ConjugacyClasses,
     inv_class = [classes.inverse_class(j) for j in range(k)]
     theta_rows = []
     degrees = []
-    for (v,) in spaces:
+    for v in lines:
         if not v[0]:
             raise ArithmeticError("common eigenvector vanishes at the identity class")
         v0_inv = pow(v[0], -1, ell)
@@ -200,7 +173,60 @@ def character_table(classes: ConjugacyClasses,
     return CharacterTable(classes, degrees, values, ell)
 
 
-def _unit_vector(k: int, j: int) -> list[int]:
-    v = [0] * k
-    v[j] = 1
-    return v
+def _eigenlines(classes: ConjugacyClasses, ell: int,
+                rng: random.Random) -> list[list[int]]:
+    """The common eigenvectors of the class matrices over F_l, one per
+    irreducible character.
+
+    Each eigenspace W is held as a row-reduced basis with pivot
+    columns P, so b_c is 1 at P[c] and 0 at the other pivots.  Then
+    (M b_c)_P is column c of M restricted to W, and a d-dimensional W
+    needs only the d rows of M at P (Schneider, J. Symbolic Comput. 9,
+    1990).  Classes are taken smallest first: every class costs |C_i|
+    products per row, and the same rows are needed whichever class
+    comes next.
+    """
+    k = classes.count
+    members = class_members(classes)
+    spaces = [(list(range(k)), [[int(a == b) for a in range(k)]
+                                for b in range(k)])]
+
+    def refine(pivots, basis, rows):
+        d = len(basis)
+        rt = [[sum(m * x for m, x in zip(rows[p], b)) % ell for b in basis]
+              for p in pivots]
+        roots = poly_roots(charpoly(rt, ell), ell, rng)
+        if len(roots) <= 1:
+            return [(pivots, basis)]
+        out = []
+        covered = 0
+        for lam in roots:
+            shifted = [[(rt[a][b] - (lam if a == b else 0)) % ell
+                        for b in range(d)] for a in range(d)]
+            sub = [[sum(c * b[t] for c, b in zip(coords, basis)) % ell
+                    for t in range(k)] for coords in nullspace(shifted, ell)]
+            covered += len(sub)
+            reduced, sub_pivots = rref(sub, ell)
+            out.append((sub_pivots, reduced))
+        if covered != d:
+            raise ArithmeticError("class matrix restriction was not diagonalisable")
+        return out
+
+    # l does not divide |G|, so the class algebra over F_l is split
+    # semisimple: once every class matrix has been applied, each common
+    # eigenspace is a line.
+    for i in sorted(range(1, k), key=classes.sizes.__getitem__):
+        wide = [space for space in spaces if len(space[1]) > 1]
+        if not wide:
+            break
+        inverse_members = members[classes.inverse_class(i)]
+        needed = {p for pivots, _ in wide for p in pivots}
+        rows = {r: class_matrix_row(classes, inverse_members, r)
+                for r in needed}
+        nxt = []
+        for space in spaces:
+            nxt.extend(refine(*space, rows) if len(space[1]) > 1 else [space])
+        spaces = nxt
+    if any(len(basis) > 1 for _, basis in spaces):
+        raise ArithmeticError("eigenspace splitting failed to separate characters")
+    return [basis[0] for _, basis in spaces]

@@ -102,10 +102,6 @@ def sqrt_mod(a: int, p: int) -> int:
 
 # -- matrices over F_p (lists of row lists) -------------------------------
 
-def mat_vec(a, v, p):
-    return [sum(c * x for c, x in zip(row, v)) % p for row in a]
-
-
 def rref(mat, p):
     """Row-reduce in place (copy); returns (reduced, pivot column list)."""
     m = [row[:] for row in mat]
@@ -146,20 +142,6 @@ def nullspace(mat, p):
             v[pc] = (-red[r][fc]) % p
         basis.append(v)
     return basis
-
-
-def solve_in_columns(basis_cols, target_cols, p):
-    """Given full-column-rank B (list of k-vectors) and targets T, solve
-    B @ R = T column by column; returns R as a list of coordinate vectors
-    (one per target)."""
-    k = len(basis_cols[0])
-    d = len(basis_cols)
-    aug = [[basis_cols[j][i] for j in range(d)] + [t[i] for t in target_cols]
-           for i in range(k)]
-    red, pivots = rref(aug, p)
-    if pivots[:d] != list(range(d)):
-        raise ArithmeticError("basis columns are not independent")
-    return [[red[r][d + t] for r in range(d)] for t in range(len(target_cols))]
 
 
 def charpoly(mat, p) -> tuple[int, ...]:

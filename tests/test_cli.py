@@ -70,6 +70,19 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
         assert str(exc) in err
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # running out of memory is not a verdict: exit 2 with one line, no
+    # traceback
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_check", exhausted)
+    code, out, err = run(capsys, "check", "S3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_corpus_inline(capsys, tmp_path):
     config = tmp_path / "corpus.json"
     config.write_text(json.dumps({"groups": ["S3", "C4"]}))

@@ -1,5 +1,7 @@
 """Exact character tables via eigenvector splitting over F_l."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, class_matrix, dixon_prime
-from vangraph.numth import nullspace
+from vangraph.numth import charpoly, nullspace, poly_roots, rref
 from vangraph.perms import Perm, PermGroup
 from vangraph.structure import conjugacy_classes
 from vangraph.vanishing import vanishing_class_indices
@@ -229,6 +231,97 @@ def test_random_two_generator_classes(group):
             assert cls.power_class(j, -e) == brute[inverse_power.images]
             power = power * rep
             inverse_power = inverse_power * rep.inverse()
+
+
+def full_matrix_eigenlines(classes, ell, rng):
+    """Reference splitting: whole class matrices in index order, each
+    space restricted by solving B R = M B over all k coordinates."""
+    k = classes.count
+    spaces = [[[int(a == b) for a in range(k)] for b in range(k)]]
+    for i in range(1, k):
+        if all(len(s) == 1 for s in spaces):
+            break
+        mat = class_matrix(classes, i)
+        nxt = []
+        for space in spaces:
+            d = len(space)
+            if d == 1:
+                nxt.append(space)
+                continue
+            aug = [[b[t] for b in space]
+                   + [sum(m * x for m, x in zip(mat[t], b)) % ell
+                      for b in space]
+                   for t in range(k)]
+            red, pivots = rref(aug, ell)
+            assert pivots[:d] == list(range(d))
+            rt = [red[a][d:] for a in range(d)]
+            roots = poly_roots(charpoly(rt, ell), ell, rng)
+            if len(roots) <= 1:
+                nxt.append(space)
+                continue
+            parts = []
+            for lam in roots:
+                shifted = [[(rt[a][b] - (lam if a == b else 0)) % ell
+                            for b in range(d)] for a in range(d)]
+                parts.append([[sum(c * b[t] for c, b in zip(coords, space))
+                               % ell for t in range(k)]
+                              for coords in nullspace(shifted, ell)])
+            assert sum(map(len, parts)) == d
+            nxt.extend(parts)
+        spaces = nxt
+    assert all(len(s) == 1 for s in spaces)
+    return [s[0] for s in spaces]
+
+
+def oracle_and_engine(classes):
+    """(degrees, values, modulus) from the engine and from the
+    full-matrix splitting; the lift and the certificates are shared."""
+    def fields(t):
+        return t.degrees, [[v.key() for v in row] for row in t.values], t.modulus
+    engine = fields(character_table(classes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dixon, "_eigenlines", full_matrix_eigenlines)
+        oracle = fields(character_table(classes))
+    return oracle, engine
+
+
+def test_row_splitting_matches_full_matrix_oracle():
+    for spec in ("A8", "S8", "S7", "A7", "PSL(2,11)", "PSL(2,13)",
+                 "A5 x A5", "C6 x A5"):
+        oracle, engine = oracle_and_engine(
+            conjugacy_classes(catalog.catalog_group(spec)))
+        assert oracle == engine, spec
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_generator_groups)
+def test_random_row_splitting_matches_full_matrix_oracle(group):
+    oracle, engine = oracle_and_engine(conjugacy_classes(group))
+    assert oracle == engine
+
+
+class CountingIds(dict):
+    """An element-id map that counts lookups: each class-matrix entry
+    looks up one product."""
+
+    def __init__(self, ids):
+        super().__init__(ids)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_table_products_are_bounded_by_pivot_rows():
+    # whole class matrices took 238,216 products for S8 and 148,064 for
+    # A8; pivot rows, smallest class first, take 931 and 33,480
+    for spec, bound in (("S8", 5_000), ("A8", 50_000)):
+        cls = conjugacy_classes(catalog.catalog_group(spec))
+        counted = dataclasses.replace(cls, ids=CountingIds(cls.ids))
+        t = character_table(counted)
+        assert 0 < counted.ids.lookups <= bound, (spec, counted.ids.lookups)
+        assert t.degrees == character_table(cls).degrees
 
 
 def zero_columns(t, i):
