@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import (chain, combinations_with_replacement, permutations,
+                       repeat)
 from math import factorial, prod
 
 from .caps import CapExceeded, Caps, default_caps
@@ -34,11 +35,21 @@ from .numth import is_prime, primitive_root
 from .perms import Perm, PermGroup, cycle_perm
 
 
-def _check_field(n: int, q: int) -> None:
-    if not is_prime(q):
-        raise ValueError(f"q = {q} is not prime")
+def _check_field(n: int, q: int, factors=(), cap: int = 0,
+                 what: str = "") -> int:
+    """Check q > n, then that the product of ``factors`` is at most
+    ``cap`` (stopping as soon as it passes), then that q is prime, so
+    oversize input is refused in bounded time; return the product."""
     if q <= n:
         raise ValueError(f"need q > n (got q = {q}, n = {n})")
+    size = 1
+    for f in factors:
+        size *= f
+        if size > cap:
+            raise CapExceeded(f"{what} exceeds the bound {cap}")
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    return size
 
 
 def check_vector(v, n: int, q: int) -> tuple[int, ...]:
@@ -101,11 +112,10 @@ def stabilizer(v, n: int, q: int,
     """Every (scalar, even permutation) pair fixing v, by brute force.
     (l, x) fixes v iff l * v[i] = v[x(i)] for every i."""
     caps = caps or default_caps()
-    _check_field(n, q)
+    # |F_q^x X A_n| = (q-1) * 3 * 4 * ... * n
+    _check_field(n, q, chain((q - 1,), range(3, n + 1)),
+                 caps.stabilizer_pairs_cap, f"{q - 1} * {n}!/2 pairs")
     v = check_vector(v, n, q)
-    pairs = group_order(n, q)
-    if pairs > caps.stabilizer_pairs_cap:
-        raise CapExceeded(f"{pairs} pairs exceeds the enumeration bound")
     hits = []
     for x in even_permutations(n):
         shuffled = tuple(v[i] for i in x.images)
@@ -139,12 +149,10 @@ def orbit_census(n: int, q: int,
     size), whether some orbit is regular, i.e. as large as the group).
     """
     caps = caps or default_caps()
-    _check_field(n, q)
-    size = q ** (n - 1)
-    if size > caps.census_vectors_cap:
-        raise CapExceeded(f"{size} vectors exceeds the census bound")
     if n < 3:
         raise ValueError("need n >= 3")
+    size = _check_field(n, q, repeat(q, n - 1), caps.census_vectors_cap,
+                        f"{q}^{n - 1} vectors")
     sizes: Counter[int] = Counter()
     seen: set[tuple[int, ...]] = set()
     for head in combinations_with_replacement(range(q), n - 1):

@@ -6,9 +6,11 @@ by class matrices, smallest class first, while a space is still wider
 than a line; a d-dimensional space reads only the d rows of a class
 matrix at its pivot positions, each row |C_i| products (Schneider's
 refinement of Dixon's method) -> the mod-l characters read off the
-common eigenvectors, with degrees from the orthogonality norm ->
-exact lift to cyclotomic integers through a discrete Fourier transform
-over the power map.
+common eigenvectors -> each degree d read off the orthogonality norm:
+d^2 = |G| / norm mod l, and since l > 2 sqrt|G| exactly one d in
+1..sqrt|G| has that square, so a search finds it -> exact lift to
+cyclotomic integers through a discrete Fourier transform over the
+power map.
 
 Every step is integer arithmetic; the final table is exact by
 construction and is re-checked against the orthogonality relations in
@@ -24,19 +26,10 @@ from dataclasses import dataclass
 from .caps import Caps, CapExceeded, default_caps
 from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
-                    primitive_root, rref, sqrt_mod)
+                    primitive_root, rref)
 from .structure import ConjugacyClasses
 
 _SPLIT_SEED = 0x0D15C0
-
-
-def class_members(classes: ConjugacyClasses) -> list[list[tuple[int, ...]]]:
-    """The elements of each class as image tuples, in enumeration
-    order: one pass over the |G| element ids."""
-    members = [[] for _ in range(classes.count)]
-    for y, c in zip(classes.ids, classes.class_of_element):
-        members[c].append(y)
-    return members
 
 
 def class_matrix_row(classes: ConjugacyClasses,
@@ -57,9 +50,8 @@ def class_matrix_row(classes: ConjugacyClasses,
 
 def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
     """Multiplication by the class sum K_i on the class-sum basis, as
-    the stack of its k rows: |C_i| * k products, after one pass over
-    the element ids."""
-    inverse_members = class_members(classes)[classes.inverse_class(i)]
+    the stack of its k rows: |C_i| * k products."""
+    inverse_members = classes.members[classes.inverse_class(i)]
     return [class_matrix_row(classes, inverse_members, r)
             for r in range(classes.count)]
 
@@ -106,7 +98,9 @@ def character_table(classes: ConjugacyClasses,
 
     # each line is spanned by v with v[j] proportional to chi(rep_j^-1),
     # so chi(rep_j) / chi(1) = v[inv j] / v[0], and the first
-    # orthogonality relation gives sum |C_j| |ratio_j|^2 = |G| / chi(1)^2
+    # orthogonality relation gives sum |C_j| |ratio_j|^2 = |G| / chi(1)^2;
+    # two degrees d, d' <= sqrt|G| < l/2 with d^2 = d'^2 mod l are equal
+    max_degree = math.isqrt(order)
     sizes = classes.sizes
     inv_class = [classes.inverse_class(j) for j in range(k)]
     theta_rows = []
@@ -119,10 +113,9 @@ def character_table(classes: ConjugacyClasses,
         norm = sum(sizes[j] * ratio[j] * ratio[inv_class[j]]
                    for j in range(k)) % ell
         d_sq = order * pow(norm, -1, ell) % ell
-        d = sqrt_mod(d_sq, ell)
-        if d > ell - d:
-            d = ell - d
-        if d == 0 or d * d > order:
+        d = next((d for d in range(1, max_degree + 1)
+                  if d * d % ell == d_sq), None)
+        if d is None:
             raise ArithmeticError("impossible character degree from normalisation")
         theta = [d * r % ell for r in ratio]
         degrees.append(d)
@@ -187,7 +180,6 @@ def _eigenlines(classes: ConjugacyClasses, ell: int,
     comes next.
     """
     k = classes.count
-    members = class_members(classes)
     spaces = [(list(range(k)), [[int(a == b) for a in range(k)]
                                 for b in range(k)])]
 
@@ -219,7 +211,7 @@ def _eigenlines(classes: ConjugacyClasses, ell: int,
         wide = [space for space in spaces if len(space[1]) > 1]
         if not wide:
             break
-        inverse_members = members[classes.inverse_class(i)]
+        inverse_members = classes.members[classes.inverse_class(i)]
         needed = {p for pivots, _ in wide for p in pivots}
         rows = {r: class_matrix_row(classes, inverse_members, r)
                 for r in needed}

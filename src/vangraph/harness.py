@@ -18,10 +18,9 @@ from math import gcd
 from .caps import CapExceeded, Caps, default_caps
 from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
-from .numth import is_prime, is_prime_power
+from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
-from .structure import (ConjugacyClasses, GroupStructure, conjugacy_classes,
-                        normal_closure)
+from .structure import ConjugacyClasses, GroupStructure, conjugacy_classes
 from .vanishing import (PrimeGraph, VanishingReport, is_complete_vertex,
                         prime_graph, vanishing_report)
 
@@ -234,17 +233,33 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
 
 
 def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
-    """Whether a nonabelian minimal normal subgroup M = T^k is simple,
-    that is k = 1.  M is simple iff every nontrivial G-class in M has
-    normal closure M inside M: for k > 1 a class meeting one factor T
-    closes to that factor.  M = G is simple with no test."""
-    if len(m_sub) == analysis.classes.count:
-        return True
-    reps = analysis.classes.reps
-    seeds = [reps[j] for j in sorted(m_sub) if j]
-    m_grp = normal_closure(analysis.group, seeds)
-    return all(normal_closure(m_grp, [r]).order == m_grp.order
-               for r in seeds)
+    """Whether a nonabelian minimal normal subgroup M = T^k is simple
+    (k = 1): iff, for p the smallest prime dividing |M|, every G-class
+    of order-p elements in M is connected, two members joined when they
+    do not commute.  If k > 1, the class of an element of one factor
+    meets every factor (G permutes them transitively), and members in
+    different factors commute.  If M is simple, each member of a class
+    C maps a component K to itself (it lies in K or commutes with K), so
+    <C> = M normalises K; then <K> = M, and the rest of C, commuting
+    with K, lies in Z(M) = 1."""
+    classes = analysis.classes
+    p = prime_divisors(analysis.structure.order(m_sub))[0]
+    return all(_noncommuting_connected(classes.members[j])
+               for j in m_sub if classes.reps[j].order() == p)
+
+
+def _noncommuting_connected(members: list[tuple[int, ...]]) -> bool:
+    """Whether the image tuples form one component when two are joined
+    if they do not commute."""
+    unseen = set(members[1:])
+    frontier = members[:1]
+    while frontier and unseen:
+        x = frontier.pop()
+        joined = [y for y in unseen if tuple(map(x.__getitem__, y))
+                  != tuple(map(y.__getitem__, x))]
+        unseen.difference_update(joined)
+        frontier.extend(joined)
+    return not unseen
 
 
 def check_almost_simple_edges(analysis: Analysis) -> Verdict:

@@ -1,11 +1,12 @@
 """Conjugacy classes and the normal structure read off them.
 
 Covers: class enumeration by conjugation orbits, permutation-level
-normal closures, and GroupStructure, which reads the
-centre, minimal normal subgroups, the Fitting subgroup, normal
-p-complements, a chief series, p-solvability and the derived subgroup
-off the character table as sets of class indices.  Also separating
-point subsets for small degrees, found by counting pair orbits.
+normal closures (for the derived series), and GroupStructure, which
+reads the centre, minimal normal subgroups, the Fitting subgroup,
+normal p-complements, a chief series, p-solvability and the derived
+subgroup off the character table as sets of class indices.  Also
+separating point subsets for small degrees, found by counting pair
+orbits.
 
 Everything is deterministic: classes are discovered in element
 enumeration order (identity first, so class 0 is always the identity
@@ -61,6 +62,16 @@ class ConjugacyClasses:
 
     def inverse_class(self, k: int) -> int:
         return self.power_class(k, -1)
+
+    @cached_property
+    def members(self) -> tuple[list[tuple[int, ...]], ...]:
+        """The elements of each class as image tuples, in enumeration
+        order: one pass over the element ids, holding the id dict's own
+        key tuples, so no element is copied."""
+        members = tuple([] for _ in range(self.count))
+        for y, c in zip(self.ids, self.class_of_element):
+            members[c].append(y)
+        return members
 
 
 def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyClasses:

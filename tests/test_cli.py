@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 
 from vangraph import cli, deleted, harness
 from vangraph.cli import main
@@ -163,6 +164,18 @@ def test_modorbit(capsys, tmp_path):
 def test_modorbit_bad_field(capsys):
     code, _, _ = run(capsys, "modorbit", "--n", "5", "--q", "4")
     assert code == 2
+
+
+def test_modorbit_refuses_oversize_input_quickly(capsys):
+    # q^(n-1) passes the cap: refused before q is trial-divided (q near
+    # 10^18) and before the power is formed (n = 10^6)
+    for n, q in (("3", "1000000000000000003"), ("1000000", "1000003")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "modorbit", "--n", n, "--q", q)
+        assert time.perf_counter() - start < 2, (n, q)
+        assert (code, out) == (2, ""), (n, q)
+        assert err == f"cap exceeded: {q}^{int(n) - 1} vectors exceeds" \
+                      " the bound 20000000\n"
 
 
 def test_modorbit_uncovered_census_exits_3(capsys, monkeypatch):

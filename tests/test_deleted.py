@@ -109,6 +109,11 @@ def test_stabilizer_is_deterministic_and_a_group():
 def test_stabilizer_cap():
     with pytest.raises(CapExceeded):
         stabilizer((0,) * 11, 11, 13, Caps(stabilizer_pairs_cap=1000))
+    # refused before q is trial-divided or n!/2 is formed
+    with pytest.raises(CapExceeded, match="exceeds the bound 1000000"):
+        stabilizer((0,) * 3, 3, 10 ** 18 + 3)
+    with pytest.raises(CapExceeded, match=r"1000002 \* 1000000!/2 pairs"):
+        stabilizer((0,) * 3, 10 ** 6, 10 ** 6 + 3)
 
 
 def test_orbit_census_small():
@@ -132,7 +137,7 @@ def test_orbit_census_invariants():
 
 
 def test_orbit_census_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"7\^4 vectors exceeds the bound 100"):
         orbit_census(5, 7, Caps(census_vectors_cap=100))
 
 

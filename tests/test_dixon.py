@@ -116,6 +116,15 @@ def test_orthogonality_certificate_raises(monkeypatch):
         character_table(conjugacy_classes(catalog.catalog_group("C2")))
 
 
+def test_non_square_degree_raises(monkeypatch):
+    # for C2, l = 3 and the line (1, 0) has norm 1, so d^2 = |G| = 2,
+    # which is not a square mod 3: no degree exists, an internal failure
+    monkeypatch.setattr(dixon, "_eigenlines",
+                        lambda classes, ell, rng: [[1, 0], [1, 1]])
+    with pytest.raises(ArithmeticError, match="impossible character degree"):
+        character_table(conjugacy_classes(catalog.catalog_group("C2")))
+
+
 def test_tables_are_deterministic():
     a = table_for("S5")
     b = table_for("S5")
@@ -220,6 +229,8 @@ def test_random_two_generator_classes(group):
         brute.update(dict.fromkeys(conjugates, j))
     assert len(brute) == group.order
     assert all(cls.class_of(x) == brute[x.images] for x in elements)
+    assert sum(map(len, cls.members)) == group.order
+    assert {y: j for j, ys in enumerate(cls.members) for y in ys} == brute
     first = {}
     for x in elements:
         first.setdefault(brute[x.images], x)

@@ -15,7 +15,8 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               load_corpus_config, report_dict,
                               validate_c44_config)
 from vangraph.numth import prime_divisors
-from vangraph.structure import GroupStructure
+from vangraph.perms import PermGroup, parse_cycles
+from vangraph.structure import GroupStructure, normal_closure
 from vangraph.vanishing import prime_graph
 
 
@@ -364,9 +365,24 @@ def oracle_l32(analysis):
                    "pi(G) = V_v with all witnesses inside the socle")
 
 
+def oracle_is_simple(analysis, m_sub):
+    """Whether a nonabelian minimal normal subgroup M = T^k is simple,
+    by permutation-level normal closures: M is simple iff every
+    nontrivial G-class in M has normal closure M inside M, since for
+    k > 1 a class meeting one factor T closes to that factor.  M = G is
+    simple with no test."""
+    if len(m_sub) == analysis.classes.count:
+        return True
+    reps = analysis.classes.reps
+    seeds = [reps[j] for j in sorted(m_sub) if j]
+    m_grp = normal_closure(analysis.group, seeds)
+    return all(normal_closure(m_grp, [r]).order == m_grp.order
+               for r in seeds)
+
+
 def oracle_p34(analysis):
     socle = harness._unique_nonabelian_minimal(analysis)
-    if socle is None or not harness._is_simple(analysis, socle):
+    if socle is None or not oracle_is_simple(analysis, socle):
         return Verdict("CHK-P34", VACUOUS, "group is not almost simple")
     sizes = analysis.classes.sizes
     van = set(analysis.vanishing.vanishing_classes)
@@ -446,3 +462,50 @@ def test_graph_checks_match_loops(analyses, spec):
 @given(two_generator_groups)
 def test_graph_checks_match_loops_random(group):
     assert_graph_checks_match_oracle(harness.analyze(group))
+
+
+def a5_wr_c2():
+    """A5 wr C2 on 10 points, order 7200: its unique minimal normal
+    subgroup A5 x A5 is not simple."""
+    return PermGroup([parse_cycles(c, 10) for c in
+                      ("(1 2 3)", "(1 2 3 4 5)",
+                       "(1 6)(2 7)(3 8)(4 9)(5 10)")], degree=10)
+
+
+def test_wreath_product_is_not_almost_simple():
+    a = harness.analyze(a5_wr_c2())
+    assert a.group.order == 7200
+    socle = harness._unique_nonabelian_minimal(a)
+    assert a.structure.order(socle) == 3600
+    assert harness._is_simple(a, socle) is False
+    assert verdict_map(a)["CHK-P34"].as_dict() == {
+        "check": "CHK-P34", "status": VACUOUS,
+        "detail": "group is not almost simple"}
+
+
+def simple_socle_answers(analysis):
+    """(engine, oracle) answers on the unique nonabelian minimal normal
+    subgroup, or None when there is no such subgroup."""
+    socle = harness._unique_nonabelian_minimal(analysis)
+    if socle is None:
+        return None
+    return (harness._is_simple(analysis, socle),
+            oracle_is_simple(analysis, socle))
+
+
+def test_is_simple_matches_normal_closures(analyses):
+    answers = {spec: simple_socle_answers(analyses(spec))
+               for spec in DEFAULT_CORPUS + ("S7", "A8", "S8")}
+    answers["A5 wr C2"] = simple_socle_answers(harness.analyze(a5_wr_c2()))
+    compared = {spec: pair for spec, pair in answers.items() if pair}
+    assert compared == {
+        spec: (True, True)
+        for spec in ("S5", "S6", "A5", "A6", "A7", "PSL(2,5)", "PSL(2,7)",
+                     "S7", "A8", "S8")} | {"A5 wr C2": (False, False)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_generator_groups)
+def test_is_simple_matches_normal_closures_random(group):
+    pair = simple_socle_answers(harness.analyze(group))
+    assert pair is None or pair[0] == pair[1]

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -40,17 +39,6 @@ def test_primitive_root():
         g = numth.primitive_root(p)
         seen = {pow(g, k, p) for k in range(p - 1)}
         assert len(seen) == p - 1
-
-
-def test_sqrt_mod():
-    r = numth.sqrt_mod(2, 7)
-    assert r * r % 7 == 2
-    with pytest.raises(ValueError):
-        numth.sqrt_mod(3, 7)
-    for p in (13, 17, 10007):
-        for a in (1, 4, 9):
-            r = numth.sqrt_mod(a, p)
-            assert r * r % p == a
 
 
 def test_dixon_prime():
@@ -129,10 +117,3 @@ def test_factorint_reconstructs(n):
         assert numth.is_prime(p)
         prod *= p ** e
     assert prod == n
-
-
-@given(st.integers(0, 500), st.sampled_from([3, 5, 7, 11, 13, 17]))
-def test_sqrt_mod_of_square(x, p):
-    a = x * x % p
-    r = numth.sqrt_mod(a, p)
-    assert r * r % p == a
