@@ -2,7 +2,7 @@
 finite permutation groups, with a harness that mechanically verifies a
 family of solvability statements over a group corpus."""
 
-from .caps import CapExceeded, Caps, default_caps
+from .caps import CapExceeded
 from .catalog import SpecError, catalog_group
 from .cyclo import Cyc, cyclotomic_poly
 from .deleted import (act, distinct_coordinate_vector, group_order,
@@ -26,13 +26,13 @@ from .vanishing import (PrimeGraph, VanishingReport, dot_text, is_complete,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "Caps", "CapExceeded", "CharacterTable", "ConjugacyClasses",
+    "Analysis", "CapExceeded", "CharacterTable", "ConjugacyClasses",
     "CorpusResult", "Cyc", "DEFAULT_C44_CONFIGS", "DEFAULT_CORPUS",
     "GroupStructure", "Perm", "PermGroup", "PrimeGraph", "SeparationAnomaly",
     "SpecError", "VanishingReport", "Verdict", "act", "analyze",
     "catalog_group", "character_table", "check_theorems", "class_matrix",
     "commutator", "conjugacy_classes", "conjugate", "corpus_run",
-    "cycle_perm", "cyclotomic_poly", "default_caps", "degree",
+    "cycle_perm", "cyclotomic_poly", "degree",
     "distinct_coordinate_vector", "dot_text", "group_order", "is_complete",
     "is_complete_vertex", "is_self_associate", "joint_stabilizer_index",
     "is_subgraph", "mn_value", "normal_closure", "orbit_census",

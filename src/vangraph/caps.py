@@ -2,16 +2,20 @@
 
 Everything here exists so that expensive operations refuse loudly instead
 of silently grinding or, worse, returning a wrong partial answer.  The
-element-enumeration cap can be overridden with the VG_ENUM_CAP environment
-variable; the remaining caps are fixed defaults that callers may replace
-by passing an explicit Caps value.
+limits are module constants, read as ``caps.NAME`` where they apply.
+Only the element-enumeration cap can be overridden, by the VG_ENUM_CAP
+environment variable, which ``enum_cap`` reads each time it is called.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 ENUM_CAP_ENV = "VG_ENUM_CAP"
+ENUM_CAP = 200_000
+TABLE_CLASS_CAP = 60
+SEPSET_POINTS_CAP = 12
+STABILIZER_PAIRS_CAP = 1_000_000
+CENSUS_VECTORS_CAP = 20_000_000
 
 
 class CapExceeded(Exception):
@@ -22,18 +26,17 @@ class CapExceeded(Exception):
     """
 
 
-@dataclass(frozen=True)
-class Caps:
-    enum_cap: int = 200_000
-    table_class_cap: int = 60
-    sepset_points_cap: int = 12
-    stabilizer_pairs_cap: int = 1_000_000
-    census_vectors_cap: int = 20_000_000
-
-
-def default_caps() -> Caps:
-    """Caps with any environment overrides applied."""
+def enum_cap() -> int:
+    """The element-enumeration cap: VG_ENUM_CAP when set, else ENUM_CAP.
+    Raises ValueError unless the variable holds a positive integer."""
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
-        return Caps()
-    return Caps(enum_cap=int(raw))
+        return ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer,"
+                         f" got {raw!r}")
+    return cap

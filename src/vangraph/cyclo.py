@@ -11,12 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-
-def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
+from .numth import poly_trim
 
 
 def _poly_mul(a, b):
@@ -27,7 +22,7 @@ def _poly_mul(a, b):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _trim(tuple(out))
+    return poly_trim(out)
 
 
 def _poly_mod(a, m):
@@ -42,7 +37,7 @@ def _poly_mod(a, m):
             for i, mi in enumerate(m):
                 a[shift + i] -= lead * mi
         a.pop()
-    return _trim(tuple(a))
+    return poly_trim(a)
 
 
 def _poly_divexact(a, b):
@@ -56,9 +51,9 @@ def _poly_divexact(a, b):
         if c:
             for i, bi in enumerate(b):
                 a[k + i] -= c * bi
-    if _trim(tuple(a)):
+    if poly_trim(a):
         raise ArithmeticError("division was not exact")
-    return _trim(tuple(q))
+    return poly_trim(q)
 
 
 @cache

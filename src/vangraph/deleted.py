@@ -30,9 +30,10 @@ from itertools import (chain, combinations_with_replacement, permutations,
                        repeat)
 from math import factorial, prod
 
-from .caps import CapExceeded, Caps, default_caps
+from . import caps
+from .catalog import alternating_group
 from .numth import is_prime, primitive_root
-from .perms import Perm, PermGroup, cycle_perm
+from .perms import Perm
 
 
 def _check_field(n: int, q: int, factors=(), cap: int = 0,
@@ -46,7 +47,7 @@ def _check_field(n: int, q: int, factors=(), cap: int = 0,
     for f in factors:
         size *= f
         if size > cap:
-            raise CapExceeded(f"{what} exceeds the bound {cap}")
+            raise caps.CapExceeded(f"{what} exceeds the bound {cap}")
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     return size
@@ -107,14 +108,12 @@ def even_permutations(n: int) -> tuple[Perm, ...]:
     return tuple(p for p in map(Perm, permutations(range(n))) if p.sign() == 1)
 
 
-def stabilizer(v, n: int, q: int,
-               caps: Caps | None = None) -> list[tuple[int, Perm]]:
+def stabilizer(v, n: int, q: int) -> list[tuple[int, Perm]]:
     """Every (scalar, even permutation) pair fixing v, by brute force.
     (l, x) fixes v iff l * v[i] = v[x(i)] for every i."""
-    caps = caps or default_caps()
     # |F_q^x X A_n| = (q-1) * 3 * 4 * ... * n
     _check_field(n, q, chain((q - 1,), range(3, n + 1)),
-                 caps.stabilizer_pairs_cap, f"{q - 1} * {n}!/2 pairs")
+                 caps.STABILIZER_PAIRS_CAP, f"{q - 1} * {n}!/2 pairs")
     v = check_vector(v, n, q)
     hits = []
     for x in even_permutations(n):
@@ -127,31 +126,28 @@ def stabilizer(v, n: int, q: int,
 
 
 def module_generators(n: int, q: int) -> list[tuple[int, Perm]]:
-    """Generators of F_q^x X A_n: one generating scalar, and the usual
-    two generators of A_n.  The permutation part is order-checked."""
+    """Generators of F_q^x X A_n: one generating scalar, and the
+    generators of ``alternating_group(n)``.  The permutation part is
+    order-checked."""
     _check_field(n, q)
     if n < 3:
         raise ValueError("need n >= 3")
-    root = primitive_root(q)
-    three = cycle_perm((0, 1, 2), n)
-    big = cycle_perm(tuple(range(n)) if n % 2 else tuple(range(1, n)), n)
-    if PermGroup([three, big]).order != factorial(n) // 2:
+    alternating = alternating_group(n)
+    if alternating.order != factorial(n) // 2:
         raise AssertionError("alternating generators are wrong")
-    return [(root, Perm.identity(n)), (1, three), (1, big)]
+    return [(primitive_root(q), Perm.identity(n))] + \
+        [(1, x) for x in alternating.generators]
 
 
-def orbit_census(n: int, q: int,
-                 caps: Caps | None = None
-                 ) -> tuple[list[tuple[int, int]], bool]:
+def orbit_census(n: int, q: int) -> tuple[list[tuple[int, int]], bool]:
     """Partition all q^(n-1) vectors into orbits.
 
     Returns (sorted list of (orbit size, number of orbits of that
     size), whether some orbit is regular, i.e. as large as the group).
     """
-    caps = caps or default_caps()
     if n < 3:
         raise ValueError("need n >= 3")
-    size = _check_field(n, q, repeat(q, n - 1), caps.census_vectors_cap,
+    size = _check_field(n, q, repeat(q, n - 1), caps.CENSUS_VECTORS_CAP,
                         f"{q}^{n - 1} vectors")
     sizes: Counter[int] = Counter()
     seen: set[tuple[int, ...]] = set()

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .caps import Caps, CapExceeded, default_caps
+from . import caps
 from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
                     primitive_root, rref)
@@ -85,12 +85,10 @@ class CharacterTable:
                      if (self.group_order // d) % q != 0)
 
 
-def character_table(classes: ConjugacyClasses,
-                    caps: Caps | None = None) -> CharacterTable:
-    caps = caps or default_caps()
+def character_table(classes: ConjugacyClasses) -> CharacterTable:
     k = classes.count
-    if k > caps.table_class_cap:
-        raise CapExceeded(f"{k} classes exceeds table cap {caps.table_class_cap}")
+    if k > caps.TABLE_CLASS_CAP:
+        raise caps.CapExceeded(f"{k} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
     order = classes.group.order
     exponent = group_exponent(classes)
     ell = dixon_prime(order, exponent)

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
-from .caps import CapExceeded, Caps, default_caps
+from . import caps
 from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
@@ -85,14 +85,13 @@ class Analysis:
     vanishing: VanishingReport
 
 
-def analyze(spec: str | PermGroup, caps: Caps | None = None) -> Analysis:
-    caps = caps or default_caps()
+def analyze(spec: str | PermGroup) -> Analysis:
     if isinstance(spec, PermGroup):
         group, name = spec, "<group>"
     else:
         group, name = catalog_group(spec), spec
-    classes = conjugacy_classes(group, caps)
-    table = character_table(classes, caps)
+    classes = conjugacy_classes(group)
+    table = character_table(classes)
     structure = GroupStructure(table)
     # both structure certificates raise here, before any check reads
     # the structure: |G'| against the derived series, then the chief
@@ -467,11 +466,11 @@ def report_dict(analysis: Analysis, verdicts) -> dict:
 def _corpus_worker(args) -> dict:
     """One group's report.  A cap hit makes every requested check
     INDETERMINATE in this group's report and leaves the others alone."""
-    spec, c44, checks, caps = args
+    spec, c44, checks = args
     try:
-        analysis = analyze(spec, caps)
+        analysis = analyze(spec)
         verdicts = check_theorems(analysis, c44_configs=c44, checks=checks)
-    except CapExceeded as exc:
+    except caps.CapExceeded as exc:
         return {"spec": spec,
                 "verdicts": [Verdict(check, INDETERMINATE, str(exc)).as_dict()
                              for check in CHECK_IDS
@@ -531,16 +530,16 @@ def validate_c44_config(config) -> None:
             parse_cycles(s, group.degree)
 
 
-def corpus_run(specs=None, c44_configs=None, checks=None, jobs: int = 1,
-               caps: Caps | None = None) -> CorpusResult:
-    caps = caps or default_caps()
+def corpus_run(specs=None, c44_configs=None, checks=None,
+               jobs: int = 1) -> CorpusResult:
     ordered = sorted(DEFAULT_CORPUS if specs is None else specs)
     for spec in ordered:
         catalog_group(spec)   # parse errors surface before any work
     for config in c44_configs or ():
         validate_c44_config(config)
     _validate_check_ids(checks)
-    args = [(spec, c44_configs, checks, caps) for spec in ordered]
+    caps.enum_cap()   # a bad VG_ENUM_CAP is refused before any group runs
+    args = [(spec, c44_configs, checks) for spec in ordered]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_corpus_worker, args))

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .caps import Caps, CapExceeded, default_caps
+from . import caps
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,19 +300,19 @@ class PermGroup:
                     frontier.append(f)
         return ids
 
-    def element_ids(self, caps: Caps | None = None) -> dict[tuple[int, ...], int]:
+    def element_ids(self) -> dict[tuple[int, ...], int]:
         """Image tuple -> element id for every element; the ids are
         0..|G|-1 in deterministic breadth-first order (identity first),
         which is also the dict's order.  Do not mutate the result.
-        Refuses via CapExceeded when the order exceeds the cap."""
-        caps = caps or default_caps()
-        if self.order > caps.enum_cap:
-            raise CapExceeded(f"order {self.order} exceeds enumeration cap {caps.enum_cap}")
+        Refuses via CapExceeded when the order exceeds ``caps.enum_cap()``."""
+        cap = caps.enum_cap()
+        if self.order > cap:
+            raise caps.CapExceeded(f"order {self.order} exceeds enumeration cap {cap}")
         return self._enumeration
 
-    def elements(self, caps: Caps | None = None) -> tuple[Perm, ...]:
+    def elements(self) -> tuple[Perm, ...]:
         """All elements as Perm values, in element id order."""
-        return tuple(map(Perm, self.element_ids(caps)))
+        return tuple(map(Perm, self.element_ids()))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import prod
 from typing import TYPE_CHECKING
 
-from .caps import Caps, CapExceeded, default_caps
+from . import caps
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import Perm, PermGroup, commutator
 
@@ -74,8 +74,8 @@ class ConjugacyClasses:
         return members
 
 
-def conjugacy_classes(group: PermGroup, caps: Caps | None = None) -> ConjugacyClasses:
-    ids = group.element_ids(caps)
+def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
+    ids = group.element_ids()
     class_of = [-1] * len(ids)
     reps: list[Perm] = []
     sizes: list[int] = []
@@ -344,8 +344,8 @@ def joint_stabilizer_index(group: PermGroup, g1: tuple[int, ...],
     return len(_pair_orbit(_mask_tables(group), n, _mask(g1) | _mask(g2) << n))
 
 
-def separating_subsets(group: PermGroup, p: int, q: int,
-                       caps: Caps | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def separating_subsets(group: PermGroup, p: int,
+                       q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First pair of disjoint nonempty point subsets (by total size, then
     size of the first, then lexicographic order) whose joint setwise
     stabilizer has index divisible by every one of p, q that divides the
@@ -355,7 +355,7 @@ def separating_subsets(group: PermGroup, p: int, q: int,
     breadth-first search over 2^n-entry mask tables of the generators;
     G is never enumerated.  Every pair of one orbit gets that length at
     once, so each pair is visited at most once: at most 3^n * |gens|
-    steps for any |G|.  Only ``caps.sepset_points_cap`` bounds the
+    steps for any |G|.  Only ``caps.SEPSET_POINTS_CAP`` bounds the
     search, through the degree n.
 
     Raises ValueError unless p and q are both prime, and
@@ -364,10 +364,9 @@ def separating_subsets(group: PermGroup, p: int, q: int,
     """
     if not (is_prime(p) and is_prime(q)):
         raise ValueError(f"p and q must be prime, got {p} and {q}")
-    caps = caps or default_caps()
     n = group.degree
-    if n > caps.sepset_points_cap:
-        raise CapExceeded(f"degree {n} exceeds separating-subset cap")
+    if n > caps.SEPSET_POINTS_CAP:
+        raise caps.CapExceeded(f"degree {n} exceeds separating-subset cap")
     if n < 2:
         raise ValueError("need at least two points")
     targets = [r for r in (p, q) if group.order % r == 0]

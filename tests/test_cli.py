@@ -210,6 +210,24 @@ def test_sepsets_beyond_enumeration_cap(capsys):
                    "joint stabilizer order 5040, index 72\n")
 
 
+def test_bad_enumeration_cap_is_an_input_error(capsys, monkeypatch, tmp_path):
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({"groups": ["S3"]}))
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("VG_ENUM_CAP", raw)
+        for argv in (("check", "S3"), ("corpus", "--config", str(config))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (raw, argv)
+            assert out == ""
+            assert err == ("error: VG_ENUM_CAP must be a positive integer,"
+                           f" got {raw!r}\n")
+    # sepsets never enumerates, so it does not read the variable
+    monkeypatch.setenv("VG_ENUM_CAP", "abc")
+    code, out, _ = run(capsys, "sepsets", "S4", "--p", "2", "--q", "3")
+    assert code == 0
+    assert out.startswith("first subset: [1]")
+
+
 def test_sepsets_rejects_non_primes(capsys):
     for p, q in (("0", "3"), ("4", "6")):
         code, out, err = run(capsys, "sepsets", "S4", "--p", p, "--q", q)

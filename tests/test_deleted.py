@@ -7,8 +7,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from vangraph import deleted
-from vangraph.caps import CapExceeded, Caps
+from vangraph import caps, deleted
+from vangraph.caps import CapExceeded
 from vangraph.deleted import (act, census_csv, check_vector,
                               distinct_coordinate_vector, group_order,
                               module_generators, orbit_census, orbit_size,
@@ -106,9 +106,11 @@ def test_stabilizer_is_deterministic_and_a_group():
             assert (l1 * l2 % q, x1 * x2) in pairs
 
 
-def test_stabilizer_cap():
-    with pytest.raises(CapExceeded):
-        stabilizer((0,) * 11, 11, 13, Caps(stabilizer_pairs_cap=1000))
+def test_stabilizer_cap(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(caps, "STABILIZER_PAIRS_CAP", 1000)
+        with pytest.raises(CapExceeded):
+            stabilizer((0,) * 11, 11, 13)
     # refused before q is trial-divided or n!/2 is formed
     with pytest.raises(CapExceeded, match="exceeds the bound 1000000"):
         stabilizer((0,) * 3, 3, 10 ** 18 + 3)
@@ -136,9 +138,10 @@ def test_orbit_census_invariants():
         assert census[0] == (1, 1) or sizes[0] == 1
 
 
-def test_orbit_census_cap():
+def test_orbit_census_cap(monkeypatch):
+    monkeypatch.setattr(caps, "CENSUS_VECTORS_CAP", 100)
     with pytest.raises(CapExceeded, match=r"7\^4 vectors exceeds the bound 100"):
-        orbit_census(5, 7, Caps(census_vectors_cap=100))
+        orbit_census(5, 7)
 
 
 def test_orbit_size_matches_census_and_stabilizer():

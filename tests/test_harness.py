@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from test_dixon import two_generator_groups
 
 from vangraph import harness
-from vangraph.caps import CapExceeded, Caps
+from vangraph.caps import CapExceeded
 from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               FAIL, INDETERMINATE, PASS, VACUOUS, Verdict,
                               check_theorems, corpus_run,
@@ -287,18 +287,32 @@ def test_corpus_check_cap_is_indeterminate(monkeypatch):
     assert result.exit_code == 0
 
 
-def test_explicit_caps_override_environment(analyses, monkeypatch):
-    # every stage of the analysis uses the caps it is given, not the
-    # environment's default enumeration cap
+def test_environment_enumeration_cap(analyses, monkeypatch):
+    # analyze reads VG_ENUM_CAP each time it runs
     want = analyses("S5").table.degrees
     monkeypatch.setenv("VG_ENUM_CAP", "100")
     with pytest.raises(CapExceeded):
         harness.analyze("S5")
-    a = harness.analyze("S5", Caps(enum_cap=1000))
+    monkeypatch.setenv("VG_ENUM_CAP", "1000")
+    a = harness.analyze("S5")
     assert a.table.degrees == want
     # the classes hold the whole enumeration, so lookups check no cap
     assert [a.classes.class_of(rep) for rep in a.classes.reps] == \
         list(range(a.classes.count))
+
+
+def test_environment_enumeration_cap_reaches_corpus_workers(monkeypatch):
+    # pool workers inherit VG_ENUM_CAP; it is not in their arguments
+    monkeypatch.setenv("VG_ENUM_CAP", "100")
+    serial = corpus_run(["S3", "S5"], jobs=1)
+    assert corpus_run(["S3", "S5"], jobs=2) == serial
+    s3, s5 = serial.reports
+    assert s3["spec"] == "S3" and s3["order"] == 6
+    assert s5["spec"] == "S5"
+    assert [v["check"] for v in s5["verdicts"]] == list(harness.CHECK_IDS)
+    assert all(v["status"] == INDETERMINATE and
+               v["detail"] == "order 120 exceeds enumeration cap 100"
+               for v in s5["verdicts"])
 
 
 # The five graph-reading checks written as loops over primes, class

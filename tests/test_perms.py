@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vangraph.caps import CapExceeded, Caps
+from vangraph import caps
+from vangraph.caps import CapExceeded
 from vangraph.perms import Perm, PermGroup, parse_cycles, read_generator_file
 
 
@@ -85,7 +86,7 @@ def test_group_orders():
     assert a10.order == math.factorial(10) // 2
     s12 = PermGroup([p("(1 2)", 12), p("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)])
     assert s12.order == math.factorial(12)
-    assert s9.order > Caps().enum_cap
+    assert s9.order > caps.ENUM_CAP
 
 
 def test_degree_inference_and_empty_group():
@@ -103,7 +104,7 @@ def test_membership():
     assert p("(1 2)(3 4)", 4) in a4
 
 
-def test_enumeration_ids_and_cap():
+def test_enumeration_ids_and_cap(monkeypatch):
     s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
     ids = s4.element_ids()
     assert list(ids.values()) == list(range(24))
@@ -112,10 +113,11 @@ def test_enumeration_ids_and_cap():
     assert len(set(elems)) == 24
     assert [g.images for g in elems] == list(ids)
     assert all(g in s4 for g in elems)
+    monkeypatch.setenv("VG_ENUM_CAP", "10")
     with pytest.raises(CapExceeded):
-        s4.element_ids(Caps(enum_cap=10))
+        s4.element_ids()
     with pytest.raises(CapExceeded):
-        s4.elements(Caps(enum_cap=10))
+        s4.elements()
 
 
 def test_order_divides_degree_factorial():

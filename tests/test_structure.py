@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from test_dixon import two_generator_groups
 
-from vangraph import catalog
-from vangraph.caps import CapExceeded, Caps
+from vangraph import caps, catalog
+from vangraph.caps import CapExceeded
 from vangraph.dixon import character_table, class_matrix
 from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
@@ -400,21 +400,23 @@ def test_separating_subsets_trivial_targets():
     assert g1 and g2 and not set(g1) & set(g2)
 
 
-def test_separating_subsets_caps():
+def test_separating_subsets_caps(monkeypatch):
     # only the point count bounds the search; G is never enumerated
     with pytest.raises(CapExceeded):
         separating_subsets(grp("C13"), 13, 2)
     s7 = grp("S7")
-    assert separating_subsets(s7, 2, 3, Caps(enum_cap=10)) == \
-        separating_subsets(s7, 2, 3)
+    want = separating_subsets(s7, 2, 3)
     s9 = grp("S9")
-    assert s9.order > Caps().enum_cap
+    assert s9.order > caps.ENUM_CAP
+    monkeypatch.setenv("VG_ENUM_CAP", "10")
+    assert separating_subsets(s7, 2, 3) == want
     g1, g2 = separating_subsets(s9, 2, 3)
     assert (g1, g2) == ((0,), (1,))
     assert joint_stabilizer_index(s9, g1, g2) == 72
 
 
-def test_caps_raise_cap_exceeded():
+def test_caps_raise_cap_exceeded(monkeypatch):
     g = grp("S5")
+    monkeypatch.setenv("VG_ENUM_CAP", "10")
     with pytest.raises(CapExceeded):
-        conjugacy_classes(g, Caps(enum_cap=10))
+        conjugacy_classes(g)
