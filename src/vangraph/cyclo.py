@@ -131,8 +131,6 @@ class Cyc:
         return Cyc.make(conductor, tuple(raw))
 
     def _pair(self, other):
-        if isinstance(other, int):
-            other = Cyc.integer(other)
         m = math.lcm(self.conductor, other.conductor)
         return self.promote(m), other.promote(m), m
 
@@ -140,22 +138,13 @@ class Cyc:
         a, b, m = self._pair(other)
         return Cyc(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc(self.conductor, tuple(-c for c in self.coeffs))
-
     def __sub__(self, other):
         a, b, m = self._pair(other)
         return Cyc(m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Cyc(self.conductor, tuple(c * other for c in self.coeffs))
         a, b, m = self._pair(other)
         return Cyc.make(m, _poly_mul(a.coeffs, b.coeffs))
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, zeta -> zeta^-1."""

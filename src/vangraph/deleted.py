@@ -25,9 +25,8 @@ Everything else is exhaustive and checked.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from itertools import (chain, combinations_with_replacement, permutations,
-                       repeat)
+                       product, repeat)
 from math import factorial, prod
 
 from . import caps
@@ -102,26 +101,30 @@ def distinct_coordinate_vector(n: int, q: int) -> tuple[int, ...]:
     return tuple(range(1, n)) + (beta,)
 
 
-@cache
-def even_permutations(n: int) -> tuple[Perm, ...]:
-    """All of A_n, sorted by image tuple."""
-    return tuple(p for p in map(Perm, permutations(range(n))) if p.sign() == 1)
-
-
 def stabilizer(v, n: int, q: int) -> list[tuple[int, Perm]]:
-    """Every (scalar, even permutation) pair fixing v, by brute force.
-    (l, x) fixes v iff l * v[i] = v[x(i)] for every i."""
+    """Every (scalar, even permutation) pair fixing v, sorted.  (l, x)
+    fixes v iff l * v[i] = v[x(i)] for every i: l keeps the multiset of
+    coordinates, and x sends the positions of each value c onto those
+    of l * c.  The pairs are the even products of those bijections."""
     # |F_q^x X A_n| = (q-1) * 3 * 4 * ... * n
     _check_field(n, q, chain((q - 1,), range(3, n + 1)),
                  caps.STABILIZER_PAIRS_CAP, f"{q - 1} * {n}!/2 pairs")
     v = check_vector(v, n, q)
+    positions = {c: [i for i, d in enumerate(v) if d == c] for c in set(v)}
+    sources = list(chain(*positions.values()))
+    even: dict[tuple[int, ...], list[Perm]] = {}
     hits = []
-    for x in even_permutations(n):
-        shuffled = tuple(v[i] for i in x.images)
-        for scalar in range(1, q):
-            if all(scalar * c % q == w for c, w in zip(v, shuffled)):
-                hits.append((scalar, x))
-    hits.sort(key=lambda p: (p[0], p[1].images))
+    for scalar in range(1, q):
+        if sorted(scalar * c % q for c in v) != sorted(v):
+            continue
+        targets = tuple(scalar * c % q for c in positions)
+        if targets not in even:     # every scalar fixes the zero vector
+            blocks = product(*(permutations(positions[t]) for t in targets))
+            perms = (Perm(tuple(j for _, j in sorted(zip(sources, chain(*b)))))
+                     for b in blocks)
+            even[targets] = sorted((x for x in perms if x.sign() == 1),
+                                   key=lambda x: x.images)
+        hits += [(scalar, x) for x in even[targets]]
     return hits
 
 

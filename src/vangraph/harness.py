@@ -11,7 +11,6 @@ nothing FAILed.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -541,6 +540,8 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
     caps.enum_cap()   # a bad VG_ENUM_CAP is refused before any group runs
     args = [(spec, c44_configs, checks) for spec in ordered]
     if jobs > 1:
+        # imported here: it loads multiprocessing, costly at start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_corpus_worker, args))
     else:

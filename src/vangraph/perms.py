@@ -41,9 +41,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Perm") -> "Perm":
         """Left-to-right composition: apply self, then other."""
         if len(other.images) != len(self.images):

@@ -21,7 +21,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from . import caps
-from .numth import is_prime, is_prime_power, prime_divisors
+from .numth import is_prime, prime_divisors
 from .perms import Perm, PermGroup, commutator
 
 if TYPE_CHECKING:
@@ -203,17 +203,14 @@ class GroupStructure:
         return tuple(n for n in self.minimal_normal_subgroups
                      if not _is_abelian_chief_order(self.order(n)))
 
-    def largest_normal_p_subgroup(self, p: int) -> frozenset[int]:
-        """O_p(G): the join of the class closures that are p-groups."""
-        parts = [n for n in self.class_closures
-                 if is_prime_power(self.order(n), p)]
-        return self.closure(frozenset().union(*parts))
-
     @cached_property
     def fitting_subgroup(self) -> frozenset[int]:
-        """F(G), the join of O_p(G) over the primes p dividing |G|."""
-        return self.closure(frozenset().union(
-            *(self.largest_normal_p_subgroup(p) for p in self.primes)))
+        """F(G), the join of the class closures of prime-power order:
+        each is a normal p-subgroup, so lies in O_p(G), and O_p(G) is
+        the join of the closures of its own classes."""
+        parts = [n for n in self.class_closures
+                 if len(prime_divisors(self.order(n))) <= 1]
+        return self.closure(frozenset().union(*parts))
 
     @cached_property
     def derived_subgroup(self) -> frozenset[int]:

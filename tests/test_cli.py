@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from vangraph import cli, deleted, harness
 from vangraph.cli import main
@@ -241,3 +243,16 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "CHK-DOLFI PASS" in proc.stdout
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only corpus --jobs > 1 needs multiprocessing; a fresh interpreter
+    # importing the CLI must not load it
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vangraph.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -104,6 +104,35 @@ def test_stabilizer_is_deterministic_and_a_group():
         assert act(v, l1, x1, q) == v
         for l2, x2 in stab:
             assert (l1 * l2 % q, x1 * x2) in pairs
+
+
+def stabilizer_by_search(v, n, q):
+    """Every (scalar, even permutation) pair fixing v, found by trying
+    all (q-1) * n! pairs."""
+    v = check_vector(v, n, q)
+    hits = []
+    for x in map(Perm, permutations(range(n))):
+        if x.sign() != 1:
+            continue
+        shuffled = tuple(v[i] for i in x.images)
+        for scalar in range(1, q):
+            if all(scalar * c % q == w for c, w in zip(v, shuffled)):
+                hits.append((scalar, x))
+    hits.sort(key=lambda p: (p[0], p[1].images))
+    return hits
+
+
+def test_stabilizer_matches_search():
+    rng = random.Random(11)
+    for n, q in [(3, 5), (3, 7), (4, 5), (4, 7), (5, 7), (5, 11), (6, 7),
+                 (4, 13), (6, 13)]:
+        vectors = [(0,) * n, distinct_coordinate_vector(n, q)]
+        for _ in range(6):
+            head = tuple(rng.randrange(q) for _ in range(n - 1))
+            vectors.append(head + (-sum(head) % q,))
+        for v in vectors:
+            assert stabilizer(v, n, q) == stabilizer_by_search(v, n, q), \
+                (v, n, q)
 
 
 def test_stabilizer_cap(monkeypatch):

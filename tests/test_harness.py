@@ -126,6 +126,37 @@ def test_c44_vacuous_when_hypotheses_fail(analyses):
     assert "hypothesis failed" in verdict.detail
 
 
+V4 = ["(1 2)(3 4)", "(1 3)(2 4)"]
+A4 = ["(1 2 3)", "(1 2)(3 4)", "(1 3)(2 4)"]
+D8_CENTER = ["(1 3)(2 4)"]
+
+
+@pytest.mark.parametrize("spec, a, m, n, p, detail", [
+    ("S4", V4, A4, V4, 3, "A is not a 3-group"),
+    ("D8", ["(1 2 3 4)", "(1 3)"], ["(1 2 3 4)", "(1 3)"], D8_CENTER, 2,
+     "A is not abelian"),
+    # <(1 2 3 4)> is abelian and normal but contains the center
+    ("D8", ["(1 2 3 4)"], ["(1 2 3 4)", "(1 3)"], D8_CENTER, 2,
+     "A is not a minimal normal subgroup"),
+    ("S4", V4, V4, A4, 2, "N is not contained in M"),
+    ("S4", V4, V4, V4, 2, "M/N is trivial"),
+    # S4/V4 = S3 has A4/V4 below it
+    ("S4", V4, ["(1 2)", "(1 2 3 4)"], V4, 2,
+     "M/N is not a chief factor; |M/N| is not coprime to |A|"),
+    # A is central, so it is centralized by all of M
+    ("D8", D8_CENTER, ["(1 2 3 4)"], D8_CENTER, 2,
+     "|M/N| is not coprime to |A|; N is not the centralizer of A in M"),
+])
+def test_c44_hypothesis_reasons(analyses, spec, a, m, n, p, detail):
+    config = {"group": spec, "a": a, "m": m, "n": n, "p": p}
+    validate_c44_config(config)
+    (verdict,) = check_theorems(analyses(spec), c44_configs=[config],
+                                checks=["CHK-C44"])
+    assert verdict.as_dict() == {
+        "check": "CHK-C44", "status": VACUOUS,
+        "detail": f"configuration hypothesis failed: {detail}"}
+
+
 def test_c44_generators_outside_group(analyses):
     # (1 2) and (1 2 3 4) generate S4, which is not a subgroup of A4
     config = {"group": "A4",
@@ -138,6 +169,27 @@ def test_c44_generators_outside_group(analyses):
     assert verdict.status == VACUOUS
     assert verdict.detail == ("configuration hypothesis failed:"
                               " M is not a subgroup of G")
+
+
+# F(11,5) = C11 x| C5, as x -> x + 1 and x -> 3x on the residues mod 11
+F_11_5 = ("degree: 11\n"
+          "(1 2 3 4 5 6 7 8 9 10 11)\n"
+          "(2 4 10 6 5)(3 7 8 11 9)\n")
+
+
+def test_solvability_checks_pass_past_their_hypotheses(tmp_path):
+    # PSL(2,7) is a nonabelian minimal normal subgroup, and 5, 11 are
+    # class-size primes that the vanishing graph leaves unjoined
+    path = tmp_path / "f11_5.grp"
+    path.write_text(F_11_5)
+    a = harness.analyze(f"PSL(2,7) x file:{path}")
+    assert a.group.order == 168 * 55
+    assert [v.as_dict() for v in check_theorems(
+        a, checks=["CHK-THMA", "CHK-COR"])] == [
+        {"check": "CHK-THMA", "status": PASS,
+         "detail": "{p,q}-solvable for every unjoined pair in [(5, 11)]"},
+        {"check": "CHK-COR", "status": PASS,
+         "detail": "p-solvable for every non-complete vertex in [5, 11]"}]
 
 
 def test_analyze_runs_structure_certificates(monkeypatch):

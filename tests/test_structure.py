@@ -215,7 +215,9 @@ def test_minimal_normals_are_minimal():
 
 def test_fitting_subgroup():
     for spec, want in [("S4", 4), ("S3", 3), ("D8", 8), ("D12", 6),
-                       ("A5", 1), ("A4", 4), ("C12", 12)]:
+                       ("A5", 1), ("A4", 4), ("C12", 12),
+                       ("S4 x S3", 12), ("D8 x S3", 24), ("A4 x C3", 12),
+                       ("C2 x C2 x S3", 12), ("PSL(2,11)", 1)]:
         gs = structure(spec)
         assert gs.order(gs.fitting_subgroup) == want, spec
 
