@@ -25,35 +25,19 @@ def _poly_mul(a, b):
     return poly_trim(out)
 
 
-def _poly_mod(a, m):
-    """Remainder of a modulo a monic integer polynomial m."""
+def _poly_divmod(a, m):
+    """Quotient and remainder of a by a monic integer polynomial m."""
     a = list(a)
     dm = len(m) - 1
     assert m[-1] == 1, "divisor must be monic"
-    while len(a) - 1 >= dm and any(a):
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] -= lead * mi
-        a.pop()
-    return poly_trim(a)
-
-
-def _poly_divexact(a, b):
-    """Exact division a // b for monic b; the remainder must be zero."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
+    q = [0] * max(0, len(a) - dm)
     for k in range(len(q) - 1, -1, -1):
-        c = a[k + db]
+        c = a[k + dm]
         q[k] = c
         if c:
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    if poly_trim(a):
-        raise ArithmeticError("division was not exact")
-    return poly_trim(q)
+            for i, mi in enumerate(m):
+                a[k + i] -= c * mi
+    return poly_trim(q), poly_trim(a[:dm])
 
 
 @cache
@@ -73,7 +57,9 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     num = tuple([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
-            num = _poly_divexact(num, cyclotomic_poly(d))
+            num, rem = _poly_divmod(num, cyclotomic_poly(d))
+            if rem:
+                raise ArithmeticError("division was not exact")
     return num
 
 
@@ -104,7 +90,7 @@ class Cyc:
         for k, c in enumerate(raw):
             if c:
                 folded[k % m] += c
-        red = _poly_mod(tuple(folded), cyclotomic_poly(m))
+        red = _poly_divmod(folded, cyclotomic_poly(m))[1]
         red = red + (0,) * (phi(m) - len(red))
         return Cyc(m, red)
 

@@ -14,13 +14,13 @@ power map.
 
 Every step is integer arithmetic; the final table is exact by
 construction and is re-checked against the orthogonality relations in
-the test suite.  The eigenspace splitting consumes randomness only from
-a fixed-seed generator, so tables are bit-reproducible run to run.
+the test suite.  The eigenspace splitting draws no random numbers (its
+root finder probes 1, 2, 3, ... and returns sorted roots), so tables are
+bit-reproducible run to run.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import caps
@@ -28,8 +28,6 @@ from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
                     primitive_root, rref)
 from .structure import ConjugacyClasses
-
-_SPLIT_SEED = 0x0D15C0
 
 
 def class_matrix_row(classes: ConjugacyClasses,
@@ -54,10 +52,6 @@ def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
     inverse_members = classes.members[classes.inverse_class(i)]
     return [class_matrix_row(classes, inverse_members, r)
             for r in range(classes.count)]
-
-
-def group_exponent(classes: ConjugacyClasses) -> int:
-    return math.lcm(*(rep.order() for rep in classes.reps))
 
 
 @dataclass(frozen=True)
@@ -90,64 +84,56 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
     if k > caps.TABLE_CLASS_CAP:
         raise caps.CapExceeded(f"{k} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
     order = classes.group.order
-    exponent = group_exponent(classes)
+    exponent = math.lcm(*classes.orders)
     ell = dixon_prime(order, exponent)
-    lines = _eigenlines(classes, ell, random.Random(_SPLIT_SEED))
+    lines = _eigenlines(classes, ell)
 
     # each line is spanned by v with v[j] proportional to chi(rep_j^-1),
-    # so chi(rep_j) / chi(1) = v[inv j] / v[0], and the first
-    # orthogonality relation gives sum |C_j| |ratio_j|^2 = |G| / chi(1)^2;
-    # two degrees d, d' <= sqrt|G| < l/2 with d^2 = d'^2 mod l are equal
-    max_degree = math.isqrt(order)
+    # so chi(rep_j) / chi(1) = v[inv j] / v[0]
     sizes = classes.sizes
     inv_class = [classes.inverse_class(j) for j in range(k)]
-    theta_rows = []
-    degrees = []
+    ratios = []
     for v in lines:
         if not v[0]:
             raise ArithmeticError("common eigenvector vanishes at the identity class")
         v0_inv = pow(v[0], -1, ell)
-        ratio = [v[inv_class[j]] * v0_inv % ell for j in range(k)]
-        norm = sum(sizes[j] * ratio[j] * ratio[inv_class[j]]
-                   for j in range(k)) % ell
-        d_sq = order * pow(norm, -1, ell) % ell
+        ratios.append([v[inv_class[j]] * v0_inv % ell for j in range(k)])
+    # the first orthogonality relation, sum_j |C_j| chi_a(j) chi_b(inv j)
+    # = delta_ab |G|, divided by chi_a(1) chi_b(1): the diagonal gives
+    # |G| / chi(1)^2, and two degrees d, d' <= sqrt|G| < l/2 with
+    # d^2 = d'^2 mod l are equal; the zero off-diagonal is the certificate.
+    # A class and its inverse have one size, so the sums are symmetric
+    # in a and b, and row a holds b <= a only, the diagonal last.
+    gram = [[sum(sizes[j] * ra[j] * rb[inv_class[j]] for j in range(k)) % ell
+             for rb in ratios[:a + 1]] for a, ra in enumerate(ratios)]
+    max_degree = math.isqrt(order)
+    degrees = []
+    for sums in gram:
+        d_sq = order * pow(sums[-1], -1, ell) % ell
         d = next((d for d in range(1, max_degree + 1)
                   if d * d % ell == d_sq), None)
         if d is None:
             raise ArithmeticError("impossible character degree from normalisation")
-        theta = [d * r % ell for r in ratio]
         degrees.append(d)
-        theta_rows.append(theta)
-
     if sum(d * d for d in degrees) != order:
         raise ArithmeticError("degree squares do not sum to the group order")
-    # certificate: the first orthogonality relation mod l,
-    # sum_j |C_j| theta_a(j) theta_b(inv j) = delta_ab |G|; the diagonal
-    # holds by the choice of degree, so the pairs a != b are the check
-    for a, theta_a in enumerate(theta_rows):
-        for b, theta_b in enumerate(theta_rows):
-            total = sum(sizes[j] * theta_a[j] * theta_b[inv_class[j]]
-                        for j in range(k))
-            if (total - (order if a == b else 0)) % ell:
-                raise ArithmeticError("rows fail the orthogonality relation mod l")
+    if any(any(sums[:-1]) for sums in gram):
+        raise ArithmeticError("rows fail the orthogonality relation mod l")
 
     root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
-    inv_m = {d: pow(d, -1, ell) for d in {rep.order() for rep in classes.reps}}
+    inv_m = {m: pow(m, -1, ell) for m in set(classes.orders)}
     rows = []
-    for d, theta in zip(degrees, theta_rows):
+    for d, ratio in zip(degrees, ratios):
+        theta = [d * r % ell for r in ratio]
         row = []
         for j in range(k):
-            m = classes.reps[j].order()
+            m = classes.orders[j]
             w = pow(root_e, exponent // m, ell)
-            powers = [1] * m
-            for t in range(1, m):
-                powers[t] = powers[t - 1] * w % ell
+            powers = [pow(w, t, ell) for t in range(m)]
             theta_pows = [theta[classes.power_class(j, s)] for s in range(m)]
             mults = []
             for t in range(m):
-                acc = 0
-                for s in range(m):
-                    acc += theta_pows[s] * powers[(-t * s) % m]
+                acc = sum(theta_pows[s] * powers[-t * s % m] for s in range(m))
                 mult = acc % ell * inv_m[m] % ell
                 if mult > d:
                     raise ArithmeticError("cyclotomic lift produced an invalid multiplicity")
@@ -164,8 +150,7 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
     return CharacterTable(classes, degrees, values, ell)
 
 
-def _eigenlines(classes: ConjugacyClasses, ell: int,
-                rng: random.Random) -> list[list[int]]:
+def _eigenlines(classes: ConjugacyClasses, ell: int) -> list[list[int]]:
     """The common eigenvectors of the class matrices over F_l, one per
     irreducible character.
 
@@ -185,7 +170,7 @@ def _eigenlines(classes: ConjugacyClasses, ell: int,
         d = len(basis)
         rt = [[sum(m * x for m, x in zip(rows[p], b)) % ell for b in basis]
               for p in pivots]
-        roots = poly_roots(charpoly(rt, ell), ell, rng)
+        roots = poly_roots(charpoly(rt, ell), ell)
         if len(roots) <= 1:
             return [(pivots, basis)]
         out = []

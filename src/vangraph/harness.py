@@ -243,7 +243,7 @@ def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     classes = analysis.classes
     p = prime_divisors(analysis.structure.order(m_sub))[0]
     return all(_noncommuting_connected(classes.members[j])
-               for j in m_sub if classes.reps[j].order() == p)
+               for j in m_sub if classes.orders[j] == p)
 
 
 def _noncommuting_connected(members: list[tuple[int, ...]]) -> bool:
@@ -531,6 +531,8 @@ def validate_c44_config(config) -> None:
 
 def corpus_run(specs=None, c44_configs=None, checks=None,
                jobs: int = 1) -> CorpusResult:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ordered = sorted(DEFAULT_CORPUS if specs is None else specs)
     for spec in ordered:
         catalog_group(spec)   # parse errors surface before any work
@@ -539,10 +541,12 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
     _validate_check_ids(checks)
     caps.enum_cap()   # a bad VG_ENUM_CAP is refused before any group runs
     args = [(spec, c44_configs, checks) for spec in ordered]
-    if jobs > 1:
+    # the pool forks all its workers at once, so never more than groups
+    workers = min(jobs, len(args))
+    if workers > 1:
         # imported here: it loads multiprocessing, costly at start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_corpus_worker, args))
     else:
         reports = [_corpus_worker(a) for a in args]

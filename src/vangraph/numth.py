@@ -3,26 +3,38 @@
 Sizes here are small (matrices up to the class-count cap, moduli in the
 low thousands), so everything is straightforward trial division, Gaussian
 elimination and textbook polynomial arithmetic on little-endian integer
-tuples.  The root finder uses equal-degree splitting driven by a caller
-supplied deterministic RNG so results are bit-reproducible.
+tuples; primality is a deterministic Miller-Rabin test.  The root finder
+uses equal-degree splitting with probes 1, 2, 3, ... in turn: it draws no
+random numbers, and its roots come out sorted.
 """
 from __future__ import annotations
 
-import random
+from itertools import count
+
+# Miller-Rabin with these bases is exact below _MR_BOUND (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin below ``_MR_BOUND``, factorisation at
+    or above it."""
+    if n >= _MR_BOUND:
+        return factorint(n) == {n: 1}
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s d, d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 
@@ -220,10 +232,12 @@ def poly_sub(a, b, p):
     return poly_trim(tuple((x - y) % p for x, y in zip(a, b)))
 
 
-def poly_roots(f, p, rng: random.Random) -> list[int]:
-    """All roots of f in F_p, each once, ascending.  Equal-degree
-    splitting with (x+a)^((p-1)/2) probes from the supplied RNG; p must
-    be odd."""
+def poly_roots(f, p) -> list[int]:
+    """All roots of f in F_p, each once, ascending; p must be odd.
+    Equal-degree splitting with (x+a)^((p-1)/2) probes, a = 1, 2, 3, ...:
+    for roots r != s, (p-1)/2 residues a give r+a and s+a different
+    quadratic characters (a Jacobsthal sum), so a factor splits within p
+    probes."""
     f = poly_trim(f)
     if len(f) <= 1:
         return []
@@ -232,6 +246,7 @@ def poly_roots(f, p, rng: random.Random) -> list[int]:
     # lin = gcd(x^p - x, f): the product of the distinct linear factors,
     # whatever their multiplicity in f
     roots: list[int] = []
+    probes = count(1)
 
     def split(h):
         deg = len(h) - 1
@@ -241,7 +256,7 @@ def poly_roots(f, p, rng: random.Random) -> list[int]:
             roots.append((-h[0] * pow(h[1], -1, p)) % p)
             return
         while True:
-            a = rng.randrange(p)
+            a = next(probes) % p
             probe = poly_powmod((a, 1), (p - 1) // 2, h, p)
             d = poly_gcd(poly_sub(probe, (1,), p), h, p)
             if 0 < len(d) - 1 < deg:

@@ -36,7 +36,7 @@ class ConjugacyClasses:
     id) and ``class_of_element[id]`` the class of that element.
     ``reps[k]`` is the first element of class k in enumeration order;
     class 0 is the identity class.  ``power_class(k, e)`` gives the class
-    of rep_k ** e for any integer e.
+    of rep_k ** e for any integer e, and ``orders[k]`` the order of rep_k.
     """
 
     group: PermGroup
@@ -62,6 +62,11 @@ class ConjugacyClasses:
 
     def inverse_class(self, k: int) -> int:
         return self.power_class(k, -1)
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """The element order of each class: the period of its power map."""
+        return tuple(map(len, self._power))
 
     @cached_property
     def members(self) -> tuple[list[tuple[int, ...]], ...]:
@@ -100,11 +105,14 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
                     count += 1
                     frontier.append(y)
         sizes.append(count)
+    # row k lists the classes of rep_k ** 0, 1, ... until the powers
+    # return to the identity, so its length is the order of rep_k
+    identity = tuple(range(group.degree))
     power = []
     for rep in reps:
-        acc = tuple(range(group.degree))
-        row = []
-        for _ in range(rep.order()):
+        acc = rep.images
+        row = [0]
+        while acc != identity:
             row.append(class_of[ids[acc]])
             acc = tuple(map(rep.images.__getitem__, acc))
         power.append(tuple(row))
@@ -279,8 +287,7 @@ class GroupStructure:
         """The normal p-complement when the group is p-nilpotent, else
         None.  The subgroup generated by all p'-elements is normal and
         equals the complement exactly when p does not divide its order."""
-        seeds = [j for j, rep in enumerate(self.classes.reps)
-                 if rep.order() % p != 0]
+        seeds = [j for j, m in enumerate(self.classes.orders) if m % p != 0]
         k_sub = self.closure(seeds)
         return k_sub if self.order(k_sub) % p != 0 else None
 

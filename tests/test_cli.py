@@ -10,6 +10,7 @@ from pathlib import Path
 
 from vangraph import cli, deleted, harness
 from vangraph.cli import main
+from vangraph.structure import SeparationAnomaly
 
 
 def run(capsys, *argv):
@@ -125,16 +126,32 @@ def test_corpus_bad_config_exits_2(capsys, tmp_path):
     assert code == 2
     # malformed shapes are input errors, never the FAIL code or a crash
     good = dict(harness.DEFAULT_C44_CONFIGS[2])
-    for bad in ({"checks": [["CHK-PROP"]]}, {"checks": "CHK-PROP"},
+    no_group = {key: v for key, v in good.items() if key != "group"}
+    # every malformed shape the README lists
+    for bad in ({"groups": "S3"}, {"groups": ["S3", 4]},
+                {"groups": ["NOT_A_GROUP"]},
+                {"checks": [["CHK-PROP"]]}, {"checks": "CHK-PROP"},
+                {"checks": ["CHK-NONE"]},
+                {"c44": dict(good)}, {"c44": [5]}, {"c44": [no_group]},
                 {"c44": [dict(good, a=[1])]},
                 {"c44": [dict(good, a="(1 2 3)")]},
                 {"c44": [dict(good, group=5)]},
-                {"c44": [dict(good, p="3")]}):
+                {"c44": [dict(good, group="NOT_A_GROUP")]},
+                {"c44": [dict(good, p="3")]},
+                {"c44": [dict(good, p=4)]},
+                {"c44": [dict(good, m=["(1 99)"])]}):
         config.write_text(json.dumps({"groups": ["S3"], **bad}))
         code, out, err = run(capsys, "corpus", "--config", str(config))
         assert code == 2, bad
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_corpus_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "corpus", "--jobs", jobs)
+        assert (code, out) == (2, ""), jobs
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
 
 
 def test_symchar(capsys):
@@ -146,6 +163,21 @@ def test_symchar(capsys):
     assert out.strip() == "-1"
     code, _, _ = run(capsys, "symchar", "--lambda", "2,1", "--mu", "4")
     assert code == 2
+
+
+def test_symchar_bad_partition_exits_2(capsys):
+    code, out, err = run(capsys, "symchar", "--lambda", "5,x",
+                         "--mu", "2,2,2,2")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_bad_generator_file_exits_2(capsys, tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("degree: 3\n(1 2\n")
+    code, out, err = run(capsys, "check", f"file:{gens}")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: bad generator file")
 
 
 def test_modorbit(capsys, tmp_path):
@@ -202,6 +234,27 @@ def test_sepsets(capsys):
     assert "first subset: [1]" in out
     assert "second subset: [2]" in out
     assert "index 6" in out
+
+
+def test_sepsets_huge_prime_answers_at_once(capsys):
+    # 10^18 + 3 is prime; telling so takes Miller-Rabin, not trial division
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sepsets", "S4", "--p", "1000000000000000003",
+                       "--q", "3")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.startswith("first subset: [1]")
+
+
+def test_sepsets_anomaly_exits_1(capsys, monkeypatch):
+    def no_witness(group, p, q):
+        raise SeparationAnomaly(group, p, q)
+
+    monkeypatch.setattr(cli, "separating_subsets", no_witness)
+    code, out, err = run(capsys, "sepsets", "S4", "--p", "2", "--q", "3")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("anomaly: no separating subsets for primes 2,3")
 
 
 def test_sepsets_beyond_enumeration_cap(capsys):

@@ -120,7 +120,7 @@ def test_non_square_degree_raises(monkeypatch):
     # for C2, l = 3 and the line (1, 0) has norm 1, so d^2 = |G| = 2,
     # which is not a square mod 3: no degree exists, an internal failure
     monkeypatch.setattr(dixon, "_eigenlines",
-                        lambda classes, ell, rng: [[1, 0], [1, 1]])
+                        lambda classes, ell: [[1, 0], [1, 1]])
     with pytest.raises(ArithmeticError, match="impossible character degree"):
         character_table(conjugacy_classes(catalog.catalog_group("C2")))
 
@@ -235,6 +235,7 @@ def test_random_two_generator_classes(group):
     for x in elements:
         first.setdefault(brute[x.images], x)
     assert list(first.values()) == list(cls.reps)
+    assert cls.orders == tuple(rep.order() for rep in cls.reps)
     for j, rep in enumerate(cls.reps):
         power = inverse_power = Perm.identity(group.degree)
         for e in range(2 * rep.order() + 1):
@@ -244,7 +245,7 @@ def test_random_two_generator_classes(group):
             inverse_power = inverse_power * rep.inverse()
 
 
-def full_matrix_eigenlines(classes, ell, rng):
+def full_matrix_eigenlines(classes, ell):
     """Reference splitting: whole class matrices in index order, each
     space restricted by solving B R = M B over all k coordinates."""
     k = classes.count
@@ -266,7 +267,7 @@ def full_matrix_eigenlines(classes, ell, rng):
             red, pivots = rref(aug, ell)
             assert pivots[:d] == list(range(d))
             rt = [red[a][d:] for a in range(d)]
-            roots = poly_roots(charpoly(rt, ell), ell, rng)
+            roots = poly_roots(charpoly(rt, ell), ell)
             if len(roots) <= 1:
                 nxt.append(space)
                 continue

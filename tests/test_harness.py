@@ -1,5 +1,6 @@
 """Per-group analysis, theorem verdicts, and the corpus runner."""
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -17,7 +18,7 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
 from vangraph.numth import prime_divisors
 from vangraph.perms import PermGroup, parse_cycles
 from vangraph.structure import GroupStructure, normal_closure
-from vangraph.vanishing import prime_graph
+from vangraph.vanishing import PrimeGraph, prime_graph
 
 
 def verdict_map(analysis, **kw):
@@ -256,6 +257,40 @@ def test_corpus_parallel_matches_serial():
     parallel = corpus_run(["S3", "S4", "A4", "C6"], jobs=3)
     assert serial.json_lines() == parallel.json_lines()
     assert serial.exit_code == parallel.exit_code == 0
+
+
+def test_corpus_pool_never_exceeds_groups(monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count it
+        is asked for and maps in this process, so no worker is forked."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    serial = corpus_run(["S3", "C2"], jobs=1)
+    assert corpus_run(["S3", "C2"], jobs=1000) == serial
+    assert corpus_run(["S3", "C2", "A4"], jobs=2).reports[1:] == \
+        serial.reports
+    # one group runs in this process: no pool at all
+    assert corpus_run(["S3"], jobs=1000).reports == serial.reports[1:]
+    assert asked == [2, 2]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            corpus_run(["S3"], jobs=jobs)
+    assert asked == [2, 2]
 
 
 def test_corpus_bad_spec_raises_before_work():
@@ -575,3 +610,30 @@ def test_is_simple_matches_normal_closures(analyses):
 def test_is_simple_matches_normal_closures_random(group):
     pair = simple_socle_answers(harness.analyze(group))
     assert pair is None or pair[0] == pair[1]
+
+
+def test_check_fail_branches(analyses):
+    # each analysis is doctored so that one check's FAIL return runs
+    a5 = with_vanishing(analyses("A5"), ())
+    assert verdict_map(a5, checks=["CHK-PROP"])["CHK-PROP"] == Verdict(
+        "CHK-PROP", FAIL, "vertex sets differ", {"V": [2, 3, 5], "V_v": []})
+    # S3 is 2-nilpotent with abelian Sylow 2, but has no normal
+    # 3-complement, so has_abelian_sylow(3) is None
+    s3 = with_vanishing(analyses("S3"), ())
+    assert s3.structure.has_abelian_sylow(2) is True
+    assert s3.structure.has_abelian_sylow(3) is None
+    assert verdict_map(s3, checks=["CHK-DOLFI"])["CHK-DOLFI"] == Verdict(
+        "CHK-DOLFI", FAIL,
+        "missing normal complement or nonabelian Sylow for p in [3]",
+        {"primes": [3]})
+    s5 = analyses("S5")
+    edgeless = PrimeGraph(s5.vanishing.graph.vertices, ())
+    s5 = dataclasses.replace(
+        s5, vanishing=dataclasses.replace(s5.vanishing, graph=edgeless))
+    assert verdict_map(s5, checks=["CHK-CD-A"])["CHK-CD-A"] == Verdict(
+        "CHK-CD-A", FAIL, "degree pairs with no matching class size",
+        {"pairs": [(2, 3)]})
+    s4 = with_vanishing(analyses("S4"), ())
+    assert verdict_map(s4, checks=["CHK-C44"])["CHK-C44"] == Verdict(
+        "CHK-C44", FAIL, "non-vanishing classes inside M minus N",
+        {"classes": [3], "sizes": [8]})

@@ -23,6 +23,14 @@ def grp(spec):
     return catalog.catalog_group(spec)
 
 
+def test_class_orders_are_element_orders(analyses):
+    # Perm.order() reads the cycle lengths; orders reads the power maps
+    for spec in DEFAULT_CORPUS + ("S7", "A8", "S8"):
+        classes = analyses(spec).classes
+        assert classes.orders == tuple(rep.order() for rep in classes.reps), \
+            spec
+
+
 def test_class_sizes_frozen():
     assert conjugacy_classes(grp("S3")).sizes == (1, 3, 2)
     assert conjugacy_classes(grp("S4")).sizes == (1, 6, 6, 8, 3)
