@@ -55,7 +55,8 @@ def _print_analysis(report: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     analysis = analyze(args.spec)
-    report = report_dict(analysis, check_theorems(analysis))
+    verdicts = check_theorems(analysis)
+    report = report_dict(analysis, verdicts)
     _print_analysis(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -70,7 +71,7 @@ def _cmd_analyze(args) -> int:
         with open(f"{args.dot_prefix}_vanishing_graph.dot", "w",
                   encoding="utf-8") as fh:
             fh.write(dot_text(van.vanishing_graph))
-    return 0
+    return 1 if any(v.status == FAIL for v in verdicts) else 0
 
 
 def _cmd_check(args) -> int:

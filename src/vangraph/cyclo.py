@@ -98,12 +98,6 @@ class Cyc:
     def integer(c: int, conductor: int = 1) -> "Cyc":
         return Cyc.make(conductor, (c,))
 
-    @staticmethod
-    def root_of_unity(m: int, k: int, mult: int = 1) -> "Cyc":
-        raw = [0] * (k % m + 1)
-        raw[k % m] = mult
-        return Cyc.make(m, tuple(raw))
-
     def promote(self, conductor: int) -> "Cyc":
         """The same value expressed at a larger conductor (a multiple)."""
         if conductor == self.conductor:

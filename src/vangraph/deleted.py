@@ -66,25 +66,6 @@ def group_order(n: int, q: int) -> int:
     return (q - 1) * factorial(n) // 2
 
 
-def act(v, scalar: int, x: Perm, q: int) -> tuple[int, ...]:
-    """Apply (scalar, x): coordinate i of the result is scalar times
-    the coordinate of v sitting at the preimage of i."""
-    n = len(v)
-    _check_field(n, q)
-    if x.degree != n:
-        raise ValueError("permutation degree does not match vector length")
-    scalar %= q
-    if scalar == 0:
-        raise ValueError("scalar must be a unit")
-    return _apply(v, scalar, x.inverse().images, q)
-
-
-def _apply(v, scalar: int, inv: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """``act`` with the permutation given by its inverse images and no
-    checks."""
-    return tuple(scalar * v[i] % q for i in inv)
-
-
 def distinct_coordinate_vector(n: int, q: int) -> tuple[int, ...]:
     """(1, 2, ..., n-1, b) with b forced by the zero-sum constraint;
     the first n-1 coordinates are pairwise distinct units.
@@ -196,7 +177,8 @@ def orbit_size(v, n: int, q: int) -> int:
         nxt = []
         for w in frontier:
             for scalar, inv in gens:
-                u = _apply(w, scalar, inv, q)
+                # coordinate i of u is scalar times w at the preimage of i
+                u = tuple(scalar * w[i] % q for i in inv)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)

@@ -46,14 +46,6 @@ def class_matrix_row(classes: ConjugacyClasses,
     return row
 
 
-def class_matrix(classes: ConjugacyClasses, i: int) -> list[list[int]]:
-    """Multiplication by the class sum K_i on the class-sum basis, as
-    the stack of its k rows: |C_i| * k products."""
-    inverse_members = classes.members[classes.inverse_class(i)]
-    return [class_matrix_row(classes, inverse_members, r)
-            for r in range(classes.count)]
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Rows are irreducible characters sorted by degree then value

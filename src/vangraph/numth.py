@@ -3,9 +3,11 @@
 Sizes here are small (matrices up to the class-count cap, moduli in the
 low thousands), so everything is straightforward trial division, Gaussian
 elimination and textbook polynomial arithmetic on little-endian integer
-tuples; primality is a deterministic Miller-Rabin test.  The root finder
-uses equal-degree splitting with probes 1, 2, 3, ... in turn: it draws no
-random numbers, and its roots come out sorted.
+tuples.  Primality is a deterministic Miller-Rabin test, a proof below
+3,317,044,064,679,887,385,961,981; larger numbers are refused with
+ValueError.  The root finder uses equal-degree splitting with probes
+1, 2, 3, ... in turn: it draws no random numbers, and its roots come out
+sorted.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below ``_MR_BOUND``, factorisation at
-    or above it."""
+    """Deterministic Miller-Rabin, a proof below ``_MR_BOUND`` (about
+    3.3 * 10^24); at or above it no answer is proven, so ValueError."""
     if n >= _MR_BOUND:
-        return factorint(n) == {n: 1}
+        raise ValueError(f"{n} is too large to prove prime"
+                         f" (the bound is {_MR_BOUND})")
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = 2^s d, d odd

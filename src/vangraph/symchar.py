@@ -1,10 +1,13 @@
 """Symmetric group characters from partition combinatorics.
 
 Character values come from the Murnaghan-Nakayama rule, run on the
-beta-number (abacus) encoding: removing a rim hook of length r from a
-partition is moving one bead b to the empty slot b - r, and the sign of
-the move is (-1)^(number of beads passed).  Degrees come from the hook
-length formula.  Everything is exact integer arithmetic.
+beta-number (abacus) encoding: a partition lambda with l parts is the
+bead set {lambda_i + l - 1 - i}, removing a rim hook of length r is
+moving one bead b to the empty slot b - r, and the sign of the move is
+(-1)^(number of beads passed).  The rule is one loop over the cycle
+lengths that keeps a signed count per bead set reached; a bead set
+reached along several paths is carried once.  Everything is exact
+integer arithmetic.
 
 Partitions are plain tuples of weakly decreasing positive integers;
 cycle types are the same shape (fixed points written as parts of 1).
@@ -12,7 +15,6 @@ cycle types are the same shape (fixed points written as parts of 1).
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
 from typing import Iterator
 
 
@@ -56,46 +58,6 @@ def is_self_associate(lam) -> bool:
     return lam == conjugate(lam)
 
 
-def hook_lengths(lam) -> tuple[tuple[int, ...], ...]:
-    lam = check_partition(lam)
-    conj = conjugate(lam)
-    # cell (i,j): arm lam[i]-j, leg conj[j-1]-i-1, plus the cell itself
-    return tuple(
-        tuple(lam[i] - j + conj[j - 1] - i for j in range(1, lam[i] + 1))
-        for i in range(len(lam)))
-
-
-def degree(lam) -> int:
-    """Hook length formula; exact division.
-
-    >>> degree((2, 1))
-    2
-    """
-    lam = check_partition(lam)
-    n = sum(lam)
-    hooks = prod(h for row in hook_lengths(lam) for h in row)
-    d, r = divmod(factorial(n), hooks)
-    if r:
-        raise ArithmeticError("hook product does not divide n!")
-    return d
-
-
-def cycle_type_sign(mu) -> int:
-    """Sign of any permutation with this cycle type."""
-    mu = check_partition(mu)
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
-def centralizer_order(mu) -> int:
-    """|C_{S_n}(x)| for x of type mu: prod over lengths l of l^m * m!."""
-    mu = check_partition(mu)
-    out = 1
-    for length in set(mu):
-        m = mu.count(length)
-        out *= length ** m * factorial(m)
-    return out
-
-
 def mn_value(lam, mu) -> int:
     """Character value chi_lambda on cycle type mu, |lam| = |mu|.
 
@@ -105,31 +67,22 @@ def mn_value(lam, mu) -> int:
     0
     """
     lam = check_partition(lam)
-    mu = tuple(sorted(check_partition(mu), reverse=True))
+    mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
-    return _mn(lam, mu)
-
-
-@cache
-def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]   # largest cycle first
     ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    slots = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in slots:
-            continue
-        passed = sum(1 for c in beta if nb < c < b)   # leg length
-        moved = sorted((slots - {b}) | {nb}, reverse=True)
-        sub = tuple(m - (ell - 1 - i) for i, m in enumerate(moved))
-        sub = tuple(p for p in sub if p > 0)
-        total += (-1 if passed % 2 else 1) * _mn(sub, rest)
-    return total
+    counts = {frozenset(p + ell - 1 - i for i, p in enumerate(lam)): 1}
+    for r in mu:   # largest cycle first
+        after: dict[frozenset[int], int] = {}
+        for beads, count in counts.items():
+            for b in beads:
+                if b < r or b - r in beads:
+                    continue
+                passed = sum(1 for c in beads if b - r < c < b)   # leg length
+                moved = beads - {b} | {b - r}
+                after[moved] = after.get(moved, 0) + (-1) ** passed * count
+        counts = after
+    return sum(counts.values())
 
 
 def witness_partition(n: int, t: int,
@@ -171,7 +124,7 @@ def witness_cycle_type(n: int, t: int,
 def sn_table(n: int) -> tuple[tuple[tuple[int, ...], ...],
                               tuple[tuple[int, ...], ...],
                               tuple[tuple[int, ...], ...]]:
-    """Full S_n character table by the rim-hook recursion.
+    """Full S_n character table by the Murnaghan-Nakayama rule.
 
     Returns (row labels, column labels, values): rows and columns are
     both indexed by partitions of n in reverse lexicographic order,

@@ -45,15 +45,6 @@ def prime_graph(sizes) -> PrimeGraph:
     return PrimeGraph(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
-def is_subgraph(small: PrimeGraph, big: PrimeGraph) -> bool:
-    return (set(small.vertices) <= set(big.vertices)
-            and set(small.edges) <= set(big.edges))
-
-
-def is_complete(g: PrimeGraph) -> bool:
-    return not g.non_edges(g.vertices)
-
-
 def is_complete_vertex(g: PrimeGraph, p: int) -> bool:
     """Whether p is adjacent to every other vertex.  Asking about a
     non-vertex is a caller error, distinct from returning False."""

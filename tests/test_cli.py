@@ -10,6 +10,7 @@ from pathlib import Path
 
 from vangraph import cli, deleted, harness
 from vangraph.cli import main
+from vangraph.harness import FAIL, Verdict
 from vangraph.structure import SeparationAnomaly
 
 
@@ -42,6 +43,19 @@ def test_analyze_json_and_dot(capsys, tmp_path):
     assert class_dot.startswith("graph G {")
     assert "2 -- 3 [style=bold];" in class_dot
     assert "2 -- 3;" in van_dot
+
+
+def test_analyze_fail_exits_1(capsys, monkeypatch):
+    # a FAIL sets exit code 1, as in check and corpus, and the report is
+    # still printed whole
+    _, clean, _ = run(capsys, "analyze", "S3")
+    monkeypatch.setattr(harness, "check_same_vertices",
+                        lambda analysis: Verdict("CHK-PROP", FAIL, "forced"))
+    code, out, err = run(capsys, "analyze", "S3")
+    assert (code, err) == (1, "")
+    assert out == clean.replace(
+        "CHK-PROP VACUOUS no nonabelian minimal normal subgroup",
+        "CHK-PROP FAIL forced")
 
 
 def test_analyze_bad_spec_exits_2(capsys):
@@ -165,6 +179,13 @@ def test_symchar(capsys):
     assert code == 2
 
 
+def test_symchar_long_cycle_type(capsys):
+    # 600 cycles: the rule runs as a loop, so no recursion limit applies
+    code, out, err = run(capsys, "symchar", "--lambda", "600",
+                         "--mu", ",".join(["1"] * 600))
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_symchar_bad_partition_exits_2(capsys):
     code, out, err = run(capsys, "symchar", "--lambda", "5,x",
                          "--mu", "2,2,2,2")
@@ -244,6 +265,25 @@ def test_sepsets_huge_prime_answers_at_once(capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     assert out.startswith("first subset: [1]")
+
+
+def test_primes_past_the_proof_bound_exit_2_at_once(capsys, tmp_path):
+    # Miller-Rabin with fixed bases is a proof only below 3.3 * 10^24,
+    # so a larger prime is refused up front, whatever command reads it
+    big = str((2 ** 61 - 1) * (2 ** 31 - 1))
+    config = tmp_path / "corpus.json"
+    c44 = dict(harness.DEFAULT_C44_CONFIGS[2], p=int(big))
+    config.write_text(json.dumps({"groups": ["S3"], "c44": [c44]}))
+    for argv in (("sepsets", "S4", "--p", big, "--q", "3"),
+                 ("check", "PSL(2,10000000000000000000000013)"),
+                 ("corpus", "--config", str(config))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1, err
+        assert err.startswith("error: ") and \
+            "is too large to prove prime" in err, err
 
 
 def test_sepsets_anomaly_exits_1(capsys, monkeypatch):

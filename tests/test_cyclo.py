@@ -9,7 +9,7 @@ from vangraph.cyclo import Cyc, cyclotomic_poly, phi
 
 
 def zeta(m, k=1):
-    return Cyc.root_of_unity(m, k)
+    return Cyc.make(m, (0,) * k + (1,))
 
 
 def test_roots_of_unity_sum_to_zero():

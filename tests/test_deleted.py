@@ -9,11 +9,17 @@ import pytest
 
 from vangraph import caps, deleted
 from vangraph.caps import CapExceeded
-from vangraph.deleted import (act, census_csv, check_vector,
+from vangraph.deleted import (census_csv, check_vector,
                               distinct_coordinate_vector, group_order,
                               module_generators, orbit_census, orbit_size,
                               stabilizer)
 from vangraph.perms import Perm, parse_cycles
+
+
+def act(v, scalar, x, q):
+    """Apply (scalar, x): coordinate i of the result is scalar times
+    the coordinate of v sitting at the preimage of i."""
+    return tuple(scalar * v[i] % q for i in x.inverse().images)
 
 
 def test_group_order():

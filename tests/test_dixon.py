@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
-from vangraph.dixon import character_table, class_matrix, dixon_prime
+from vangraph.dixon import character_table, class_matrix_row, dixon_prime
 from vangraph.numth import charpoly, nullspace, poly_roots, rref
 from vangraph.perms import Perm, PermGroup
 from vangraph.structure import conjugacy_classes
@@ -28,6 +28,14 @@ DEGREES = {
 
 def table_for(spec):
     return character_table(conjugacy_classes(catalog.catalog_group(spec)))
+
+
+def class_matrix(classes, i):
+    """Multiplication by the class sum K_i on the class-sum basis, as
+    the stack of its k rows: |C_i| * k products."""
+    inverse_members = classes.members[classes.inverse_class(i)]
+    return [class_matrix_row(classes, inverse_members, r)
+            for r in range(classes.count)]
 
 
 def test_degree_multisets_frozen():
@@ -58,7 +66,7 @@ def test_a5_irrational_values():
     reps = t.classes.reps
     five_cols = [j for j, r in enumerate(reps) if r.order() == 5]
     assert len(five_cols) == 2
-    golden = Cyc.root_of_unity(5, 2) + Cyc.root_of_unity(5, 3)  # (-1-sqrt5)/2
+    golden = Cyc.make(5, (0, 0, 1)) + Cyc.make(5, (0, 0, 0, 1))  # (-1-sqrt5)/2
     rows3 = [i for i, d in enumerate(t.degrees) if d == 3]
     vals = {(i, j): t.row(i)[j] for i in rows3 for j in five_cols}
     # each degree-3 row carries both golden-ratio conjugates

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,10 +17,23 @@ def test_is_prime_small():
     assert not numth.is_prime(0)
 
 
-def test_is_prime_agrees_with_factorint():
-    # n = 0 is in test_is_prime_small: factorint refuses it
-    for n in range(1, 200_000):
-        assert numth.is_prime(n) == (numth.factorint(n) == {n: 1}), n
+def test_is_prime_agrees_with_sieve():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    for n in range(limit):
+        assert numth.is_prime(n) == sieve[n], n
+
+
+def test_is_prime_refuses_past_the_proof_bound():
+    bound = numth._MR_BOUND
+    assert not numth.is_prime(bound - 1)   # even
+    for n in (bound, bound + 1, 10 ** 30 + 57):
+        with pytest.raises(ValueError, match="too large to prove prime"):
+            numth.is_prime(n)
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

@@ -6,11 +6,11 @@ from math import prod
 
 import pytest
 from hypothesis import given, settings
-from test_dixon import two_generator_groups
+from test_dixon import class_matrix, two_generator_groups
 
 from vangraph import caps, catalog
 from vangraph.caps import CapExceeded
-from vangraph.dixon import character_table, class_matrix
+from vangraph.dixon import character_table
 from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
 from vangraph.perms import PermGroup, parse_cycles

@@ -1,13 +1,42 @@
-"""Symmetric-group characters through the signed rim-hook recursion."""
+"""Symmetric-group characters by the Murnaghan-Nakayama rule on bead
+sets, checked against the hook length formula, the sign character and
+both orthogonality relations, whose oracles live here."""
 
 import math
+from collections import Counter
 
 import pytest
 
-from vangraph.symchar import (centralizer_order, conjugate, cycle_type_sign,
-                              degree, hook_lengths, is_self_associate,
-                              mn_value, partitions, sn_table,
-                              witness_cycle_type, witness_partition)
+from vangraph.symchar import (conjugate, is_self_associate, mn_value,
+                              partitions, sn_table, witness_cycle_type,
+                              witness_partition)
+
+
+def hook_lengths(lam):
+    conj = conjugate(lam)
+    # cell (i,j): arm lam[i]-j, leg conj[j-1]-i-1, plus the cell itself
+    return tuple(
+        tuple(lam[i] - j + conj[j - 1] - i for j in range(1, lam[i] + 1))
+        for i in range(len(lam)))
+
+
+def degree(lam):
+    """Hook length formula; exact division."""
+    hooks = math.prod(h for row in hook_lengths(lam) for h in row)
+    d, r = divmod(math.factorial(sum(lam)), hooks)
+    assert r == 0, lam
+    return d
+
+
+def cycle_type_sign(mu):
+    """Sign of any permutation with this cycle type."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
+
+
+def centralizer_order(mu):
+    """|C_{S_n}(x)| for x of type mu: prod over lengths l of l^m * m!."""
+    return math.prod(length ** m * math.factorial(m)
+                     for length, m in Counter(mu).items())
 
 
 def test_partition_counts():
@@ -114,6 +143,26 @@ def test_mn_column_orthogonality():
                             for lam in parts)
                 want = centralizer_order(mu) if mu == nu else 0
                 assert total == want
+
+
+def test_sn_table_row_orthogonality():
+    # sum over mu of (n!/z_mu) chi_lam(mu) chi_nu(mu) = n! delta
+    for n in range(1, 9):
+        labels, cols, values = sn_table(n)
+        sizes = [math.factorial(n) // centralizer_order(mu) for mu in cols]
+        for i in range(len(labels)):
+            for j in range(len(labels)):
+                total = sum(s * a * b for s, a, b
+                            in zip(sizes, values[i], values[j]))
+                assert total == (math.factorial(n) if i == j else 0), (n, i, j)
+
+
+def test_mn_value_on_long_identity_column():
+    # chi_(m,m)(1) counts standard tableaux of shape (m,m): the Catalan
+    # number C(2m,m)/(m+1); 600 cycles, far deeper than a recursion goes
+    assert mn_value((300, 300), (1,) * 600) == math.comb(600, 300) // 301
+    assert mn_value((600,), (1,) * 600) == 1
+    assert mn_value((1,) * 600, (2,) * 300) == 1
 
 
 def test_sn_table_shape():
