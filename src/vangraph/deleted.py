@@ -76,8 +76,6 @@ def distinct_coordinate_vector(n: int, q: int) -> tuple[int, ...]:
     (1, 2, 2)
     """
     _check_field(n, q)
-    if q - 1 < n - 1:
-        raise ValueError("field too small for distinct nonzero entries")
     beta = (-(n - 1) * n // 2) % q
     return tuple(range(1, n)) + (beta,)
 

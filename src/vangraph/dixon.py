@@ -30,22 +30,6 @@ from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
 from .structure import ConjugacyClasses
 
 
-def class_matrix_row(classes: ConjugacyClasses,
-                     inverse_members: list[tuple[int, ...]],
-                     r: int) -> list[int]:
-    """Row r of the class matrix M_i, given the members of the inverse
-    class of i: entry c counts the x in class i with x^-1 * rep_r in
-    class c, which is the class constant a[i][c][r].  Costs |C_i|
-    products."""
-    ids = classes.ids
-    class_of = classes.class_of_element
-    rep = classes.reps[r].images
-    row = [0] * classes.count
-    for y in inverse_members:
-        row[class_of[ids[tuple(map(rep.__getitem__, y))]]] += 1
-    return row
-
-
 @dataclass(frozen=True)
 class CharacterTable:
     """Rows are irreducible characters sorted by degree then value
@@ -186,10 +170,8 @@ def _eigenlines(classes: ConjugacyClasses, ell: int) -> list[list[int]]:
         wide = [space for space in spaces if len(space[1]) > 1]
         if not wide:
             break
-        inverse_members = classes.members[classes.inverse_class(i)]
         needed = {p for pivots, _ in wide for p in pivots}
-        rows = {r: class_matrix_row(classes, inverse_members, r)
-                for r in needed}
+        rows = {r: classes.class_matrix_row(i, r) for r in needed}
         nxt = []
         for space in spaces:
             nxt.extend(refine(*space, rows) if len(space[1]) > 1 else [space])

@@ -242,22 +242,8 @@ def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     with K, lies in Z(M) = 1."""
     classes = analysis.classes
     p = prime_divisors(analysis.structure.order(m_sub))[0]
-    return all(_noncommuting_connected(classes.members[j])
+    return all(classes.noncommuting_connected(j)
                for j in m_sub if classes.orders[j] == p)
-
-
-def _noncommuting_connected(members: list[tuple[int, ...]]) -> bool:
-    """Whether the image tuples form one component when two are joined
-    if they do not commute."""
-    unseen = set(members[1:])
-    frontier = members[:1]
-    while frontier and unseen:
-        x = frontier.pop()
-        joined = [y for y in unseen if tuple(map(x.__getitem__, y))
-                  != tuple(map(y.__getitem__, x))]
-        unseen.difference_update(joined)
-        frontier.extend(joined)
-    return not unseen
 
 
 def check_almost_simple_edges(analysis: Analysis) -> Verdict:

@@ -1,7 +1,9 @@
 """Conjugacy classes and the normal structure read off them.
 
-Covers: class enumeration by conjugation orbits, permutation-level
-normal closures (for the derived series), and GroupStructure, which
+Covers: class enumeration by conjugation orbits, the class-matrix rows
+and the commuting test on class members (so the Dixon table and the
+checks read class-indexed data only), permutation-level normal
+closures (for the derived series), and GroupStructure, which
 reads the centre, minimal normal subgroups, the Fitting subgroup,
 normal p-complements, a chief series, p-solvability and the derived
 subgroup off the character table as sets of class indices.  Also
@@ -77,6 +79,32 @@ class ConjugacyClasses:
         for y, c in zip(self.ids, self.class_of_element):
             members[c].append(y)
         return members
+
+    def class_matrix_row(self, i: int, r: int) -> list[int]:
+        """Row r of the class matrix M_i: entry c counts the x in class i
+        with x^-1 * rep_r in class c, which is the class constant
+        a[i][c][r].  Walks the inverse class of i at |C_i| products."""
+        ids = self.ids
+        class_of = self.class_of_element
+        rep = self.reps[r].images
+        row = [0] * self.count
+        for y in self.members[self.inverse_class(i)]:
+            row[class_of[ids[tuple(map(rep.__getitem__, y))]]] += 1
+        return row
+
+    def noncommuting_connected(self, k: int) -> bool:
+        """Whether class k forms one component when two members are
+        joined if they do not commute."""
+        members = self.members[k]
+        unseen = set(members[1:])
+        frontier = members[:1]
+        while frontier and unseen:
+            x = frontier.pop()
+            joined = [y for y in unseen if tuple(map(x.__getitem__, y))
+                      != tuple(map(y.__getitem__, x))]
+            unseen.difference_update(joined)
+            frontier.extend(joined)
+        return not unseen
 
 
 def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
-from vangraph.dixon import character_table, class_matrix_row, dixon_prime
+from vangraph.dixon import character_table, dixon_prime
 from vangraph.numth import charpoly, nullspace, poly_roots, rref
 from vangraph.perms import Perm, PermGroup
 from vangraph.structure import conjugacy_classes
@@ -33,9 +33,7 @@ def table_for(spec):
 def class_matrix(classes, i):
     """Multiplication by the class sum K_i on the class-sum basis, as
     the stack of its k rows: |C_i| * k products."""
-    inverse_members = classes.members[classes.inverse_class(i)]
-    return [class_matrix_row(classes, inverse_members, r)
-            for r in range(classes.count)]
+    return [classes.class_matrix_row(i, r) for r in range(classes.count)]
 
 
 def test_degree_multisets_frozen():

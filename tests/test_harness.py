@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -172,18 +173,19 @@ def test_c44_generators_outside_group(analyses):
                               " M is not a subgroup of G")
 
 
-# F(11,5) = C11 x| C5, as x -> x + 1 and x -> 3x on the residues mod 11
-F_11_5 = ("degree: 11\n"
-          "(1 2 3 4 5 6 7 8 9 10 11)\n"
-          "(2 4 10 6 5)(3 7 8 11 9)\n")
+# file: paths resolve against the working directory, so the tests that
+# read the coverage config change to the repository root first
+REPO_ROOT = Path(__file__).resolve().parents[1]
+COVERAGE_CONFIG = REPO_ROOT / "corpora" / "coverage.json"
 
 
-def test_solvability_checks_pass_past_their_hypotheses(tmp_path):
-    # PSL(2,7) is a nonabelian minimal normal subgroup, and 5, 11 are
-    # class-size primes that the vanishing graph leaves unjoined
-    path = tmp_path / "f11_5.grp"
-    path.write_text(F_11_5)
-    a = harness.analyze(f"PSL(2,7) x file:{path}")
+def test_solvability_checks_pass_past_their_hypotheses(monkeypatch):
+    # corpora/f11_5.grp is F(11,5) = C11 x| C5, as x -> x + 1 and
+    # x -> 3x on the residues mod 11.  PSL(2,7) is a nonabelian minimal
+    # normal subgroup, and 5, 11 are class-size primes that the
+    # vanishing graph leaves unjoined
+    monkeypatch.chdir(REPO_ROOT)
+    a = harness.analyze("PSL(2,7) x file:corpora/f11_5.grp")
     assert a.group.order == 168 * 55
     assert [v.as_dict() for v in check_theorems(
         a, checks=["CHK-THMA", "CHK-COR"])] == [
@@ -191,6 +193,20 @@ def test_solvability_checks_pass_past_their_hypotheses(tmp_path):
          "detail": "{p,q}-solvable for every unjoined pair in [(5, 11)]"},
         {"check": "CHK-COR", "status": PASS,
          "detail": "p-solvable for every non-complete vertex in [5, 11]"}]
+
+
+def test_every_check_is_reached_past_its_hypothesis(analyses, monkeypatch):
+    # CHK-THMA and CHK-COR are VACUOUS on every default-corpus group;
+    # the coverage config holds the groups that reach their PASS branches
+    monkeypatch.chdir(REPO_ROOT)
+    groups, c44, checks = load_corpus_config(COVERAGE_CONFIG)
+    reached = set()
+    for spec in list(DEFAULT_CORPUS) + groups:
+        reached.update(v.check for v in check_theorems(
+            analyses(spec), c44_configs=c44, checks=checks)
+            if v.status != VACUOUS)
+    uncovered = [c for c in harness.CHECK_IDS if c not in reached]
+    assert not uncovered, f"VACUOUS on every group: {uncovered}"
 
 
 def test_analyze_runs_structure_certificates(monkeypatch):
