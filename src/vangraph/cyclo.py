@@ -126,14 +126,6 @@ class Cyc:
         a, b, m = self._pair(other)
         return Cyc.make(m, _poly_mul(a.coeffs, b.coeffs))
 
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation, zeta -> zeta^-1."""
-        m = self.conductor
-        raw = [0] * m
-        for k, c in enumerate(self.coeffs):
-            raw[(m - k) % m] += c
-        return Cyc.make(m, tuple(raw))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -9,8 +9,9 @@ refinement of Dixon's method) -> the mod-l characters read off the
 common eigenvectors -> each degree d read off the orthogonality norm:
 d^2 = |G| / norm mod l, and since l > 2 sqrt|G| exactly one d in
 1..sqrt|G| has that square, so a search finds it -> exact lift to
-cyclotomic integers through a discrete Fourier transform over the
-power map.
+cyclotomic integers, one class at a time: the inverse discrete Fourier
+transform over the powers of the class representative is built once
+per class and shared by all characters.
 
 Every step is integer arithmetic; the final table is exact by
 construction and is re-checked against the orthogonality relations in
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import caps
 from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
                     primitive_root, rref)
@@ -57,8 +57,6 @@ class CharacterTable:
 
 def character_table(classes: ConjugacyClasses) -> CharacterTable:
     k = classes.count
-    if k > caps.TABLE_CLASS_CAP:
-        raise caps.CapExceeded(f"{k} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
     order = classes.group.order
     exponent = math.lcm(*classes.orders)
     ell = dixon_prime(order, exponent)
@@ -96,28 +94,26 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
     if any(any(sums[:-1]) for sums in gram):
         raise ArithmeticError("rows fail the orthogonality relation mod l")
 
+    # chi(rep_j) = sum_t mult_t zeta_m^t, m = |rep_j|, and mult_t =
+    # m^-1 sum_s chi(rep_j^s) w^-ts mod l for w of order m: one inverse
+    # DFT matrix per class, shared by every character
     root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
-    inv_m = {m: pow(m, -1, ell) for m in set(classes.orders)}
-    rows = []
-    for d, ratio in zip(degrees, ratios):
-        theta = [d * r % ell for r in ratio]
-        row = []
-        for j in range(k):
-            m = classes.orders[j]
-            w = pow(root_e, exponent // m, ell)
-            powers = [pow(w, t, ell) for t in range(m)]
-            theta_pows = [theta[classes.power_class(j, s)] for s in range(m)]
-            mults = []
-            for t in range(m):
-                acc = sum(theta_pows[s] * powers[-t * s % m] for s in range(m))
-                mult = acc % ell * inv_m[m] % ell
-                if mult > d:
-                    raise ArithmeticError("cyclotomic lift produced an invalid multiplicity")
-                mults.append(mult)
+    rows = [[] for _ in degrees]
+    for j, m in enumerate(classes.orders):
+        columns = [classes.power_class(j, s) for s in range(m)]
+        powers = [pow(root_e, exponent // m * t, ell) for t in range(m)]
+        m_inv = pow(m, -1, ell)
+        dft = [[m_inv * powers[-t * s % m] % ell for s in range(m)]
+               for t in range(m)]
+        for d, ratio, row in zip(degrees, ratios, rows):
+            theta = [d * ratio[c] for c in columns]
+            mults = [sum(a * b for a, b in zip(coeffs, theta)) % ell
+                     for coeffs in dft]
+            if max(mults) > d:
+                raise ArithmeticError("cyclotomic lift produced an invalid multiplicity")
             if sum(mults) != d:
                 raise ArithmeticError("lifted multiplicities do not sum to the degree")
             row.append(Cyc.make(m, tuple(mults)))
-        rows.append(row)
 
     order_key = sorted(range(k), key=lambda r: (degrees[r],
                                                 tuple(c.key() for c in rows[r])))

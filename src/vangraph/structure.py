@@ -133,6 +133,10 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
                     count += 1
                     frontier.append(y)
         sizes.append(count)
+    # the table cap, read before the power maps, which cost one product
+    # per power of each representative
+    if len(reps) > caps.TABLE_CLASS_CAP:
+        raise caps.CapExceeded(f"{len(reps)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
     # return to the identity, so its length is the order of rep_k
     identity = tuple(range(group.degree))

@@ -56,13 +56,8 @@ def is_complete_vertex(g: PrimeGraph, p: int) -> bool:
 def vanishing_class_indices(table: CharacterTable) -> tuple[int, ...]:
     """Classes on which some irreducible character vanishes.  The
     identity class never qualifies: degrees are positive integers."""
-    k = table.classes.count
-    hit = set()
-    for row in table.values:
-        for j in range(k):
-            if j not in hit and row[j].is_zero():
-                hit.add(j)
-    return tuple(sorted(hit))
+    return tuple(j for j in range(table.classes.count)
+                 if any(row[j].is_zero() for row in table.values))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import pytest
+from test_cyclo import conjugate
 
 from vangraph import harness
 from vangraph.cyclo import Cyc
@@ -47,7 +48,7 @@ def quotient_classes():
         for col, members in fused:
             cent = Cyc.integer(0)
             for v in col:
-                cent = cent + v * v.conjugate()
+                cent = cent + v * conjugate(v)
             cent = cent.as_int()
             assert q_order % cent == 0
             size = q_order // cent

@@ -131,6 +131,20 @@ def test_non_square_degree_raises(monkeypatch):
         character_table(conjugacy_classes(catalog.catalog_group("C2")))
 
 
+def test_lift_certificate_raises():
+    # swapping the classes of rep^2 and rep^3 keeps rep^-1, so the
+    # splitting and the orthogonality certificate still pass, but the
+    # inverse DFT over the powers of rep no longer gives multiplicities
+    for spec in ("C5", "C7"):
+        cls = conjugacy_classes(catalog.catalog_group(spec))
+        row = list(cls._power[1])
+        row[2], row[3] = row[3], row[2]
+        doctored = dataclasses.replace(
+            cls, _power=(cls._power[0], tuple(row), *cls._power[2:]))
+        with pytest.raises(ArithmeticError, match="invalid multiplicity"):
+            character_table(doctored)
+
+
 def test_tables_are_deterministic():
     a = table_for("S5")
     b = table_for("S5")

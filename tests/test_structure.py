@@ -430,3 +430,9 @@ def test_caps_raise_cap_exceeded(monkeypatch):
     monkeypatch.setenv("VG_ENUM_CAP", "10")
     with pytest.raises(CapExceeded):
         conjugacy_classes(g)
+
+
+def test_table_cap_is_read_before_the_power_maps():
+    # C61 has one class per element: refused once the class BFS is done
+    with pytest.raises(CapExceeded, match="61 classes exceeds table cap 60"):
+        conjugacy_classes(grp("C61"))
