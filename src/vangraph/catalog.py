@@ -26,8 +26,6 @@ _ATOM = re.compile(r"^([SAC])(\d+)$|^D(\d+)$|^PSL\(2,(\d+)\)$")
 def cyclic_group(n: int) -> PermGroup:
     if n < 1:
         raise SpecError("cyclic group needs n >= 1")
-    if n == 1:
-        return PermGroup([], degree=1)
     return PermGroup([cycle_perm(tuple(range(n)), n)])
 
 

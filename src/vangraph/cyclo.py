@@ -95,8 +95,8 @@ class Cyc:
         return Cyc(m, red)
 
     @staticmethod
-    def integer(c: int, conductor: int = 1) -> "Cyc":
-        return Cyc.make(conductor, (c,))
+    def integer(c: int) -> "Cyc":
+        return Cyc.make(1, (c,))
 
     def promote(self, conductor: int) -> "Cyc":
         """The same value expressed at a larger conductor (a multiple)."""

@@ -547,11 +547,15 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
 def load_corpus_config(path) -> tuple[list, list | None, list | None]:
     """Read a corpus configuration file: {"groups": [...],
     "c44": [...], "checks": [...]}; groups is required, an absent c44 or
-    checks reads None (the default).  Raises ValueError on a bad shape."""
+    checks reads None (the default).  Raises ValueError on a bad shape
+    or any other key."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "groups" not in data:
         raise ValueError("configuration must be an object with 'groups'")
+    unknown = sorted(data.keys() - {"groups", "c44", "checks"})
+    if unknown:
+        raise ValueError(f"unknown configuration keys: {unknown}")
     groups, c44, checks = data["groups"], data.get("c44"), data.get("checks")
     if not _is_strings(groups):
         raise ValueError("'groups' must be a list of strings")

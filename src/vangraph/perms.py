@@ -58,9 +58,9 @@ class Perm:
         """g^-1 * self * g."""
         return g.inverse() * self * g
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each rotated to start at its smallest point,
-        listed by smallest point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, fixed points included, each rotated to start
+        at its smallest point, listed by smallest point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -73,17 +73,16 @@ class Perm:
                 seen[p] = True
                 cyc.append(p)
                 p = self.images[p]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles(include_fixed=True)]
+        lengths = [len(c) for c in self.cycles()]
         return tuple(sorted(lengths, reverse=True))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def sign(self) -> int:
         odd_cycles = sum(1 for c in self.cycles() if len(c) % 2 == 0)
@@ -91,7 +90,7 @@ class Perm:
 
     def cycle_string(self) -> str:
         """1-based cycle notation; the identity prints as ``()``."""
-        cyc = self.cycles()
+        cyc = [c for c in self.cycles() if len(c) > 1]
         if not cyc:
             return "()"
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cyc)
@@ -295,13 +294,18 @@ class PermGroup:
                 if f not in ids:
                     ids[f] = len(ids)
                     frontier.append(f)
+        # the chain and the enumeration derive |G| independently
+        if len(ids) != self.order:
+            raise ArithmeticError(
+                f"enumeration found {len(ids)} elements, chain order {self.order}")
         return ids
 
     def element_ids(self) -> dict[tuple[int, ...], int]:
         """Image tuple -> element id for every element; the ids are
         0..|G|-1 in deterministic breadth-first order (identity first),
         which is also the dict's order.  Do not mutate the result.
-        Refuses via CapExceeded when the order exceeds ``caps.enum_cap()``."""
+        Refuses via CapExceeded when the order exceeds ``caps.enum_cap()``,
+        and raises ArithmeticError when the count differs from it."""
         cap = caps.enum_cap()
         if self.order > cap:
             raise caps.CapExceeded(f"order {self.order} exceeds enumeration cap {cap}")

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import caps
 from .numth import is_prime, prime_divisors
-from .perms import Perm, PermGroup, commutator
+from .perms import Perm, PermGroup, _inverse, commutator
 
 if TYPE_CHECKING:
     from .dixon import CharacterTable
@@ -34,18 +34,22 @@ if TYPE_CHECKING:
 class ConjugacyClasses:
     """Conjugacy classes of a fully enumerated permutation group.
 
-    ``ids`` is the group's element enumeration (image tuple -> element
-    id) and ``class_of_element[id]`` the class of that element.
-    ``reps[k]`` is the first element of class k in enumeration order;
-    class 0 is the identity class.  ``power_class(k, e)`` gives the class
-    of rep_k ** e for any integer e, and ``orders[k]`` the order of rep_k.
+    ``ids`` maps each element's image tuple to its id, ``elements[id]``
+    is that tuple (the dict's own key) and ``class_of_element[id]`` its
+    class.  ``members[k]`` lists the ids of class k as the class search
+    reached them, ``sizes[k]`` is their count, and ``reps[k]``, the
+    element at ``members[k][0]``, is the first of class k in enumeration
+    order; class 0 is the identity class.  ``power_class(k, e)`` gives
+    the class of rep_k ** e for any integer e, and ``orders[k]`` the
+    order of rep_k.
     """
 
     group: PermGroup
     ids: dict[tuple[int, ...], int]
+    elements: list[tuple[int, ...]]
+    members: tuple[list[int], ...]
     reps: tuple[Perm, ...]
-    sizes: tuple[int, ...]
-    class_of_element: tuple[int, ...]
+    class_of_element: list[int]
     _power: tuple[tuple[int, ...], ...]
 
     @property
@@ -66,36 +70,31 @@ class ConjugacyClasses:
         return self.power_class(k, -1)
 
     @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.members))
+
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         """The element order of each class: the period of its power map."""
         return tuple(map(len, self._power))
-
-    @cached_property
-    def members(self) -> tuple[list[tuple[int, ...]], ...]:
-        """The elements of each class as image tuples, in enumeration
-        order: one pass over the element ids, holding the id dict's own
-        key tuples, so no element is copied."""
-        members = tuple([] for _ in range(self.count))
-        for y, c in zip(self.ids, self.class_of_element):
-            members[c].append(y)
-        return members
 
     def class_matrix_row(self, i: int, r: int) -> list[int]:
         """Row r of the class matrix M_i: entry c counts the x in class i
         with x^-1 * rep_r in class c, which is the class constant
         a[i][c][r].  Walks the inverse class of i at |C_i| products."""
         ids = self.ids
+        elements = self.elements
         class_of = self.class_of_element
         rep = self.reps[r].images
         row = [0] * self.count
         for y in self.members[self.inverse_class(i)]:
-            row[class_of[ids[tuple(map(rep.__getitem__, y))]]] += 1
+            row[class_of[ids[tuple(map(rep.__getitem__, elements[y]))]]] += 1
         return row
 
     def noncommuting_connected(self, k: int) -> bool:
         """Whether class k forms one component when two members are
         joined if they do not commute."""
-        members = self.members[k]
+        members = [self.elements[y] for y in self.members[k]]
         unseen = set(members[1:])
         frontier = members[:1]
         while frontier and unseen:
@@ -109,46 +108,41 @@ class ConjugacyClasses:
 
 def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     ids = group.element_ids()
+    elements = list(ids)
     class_of = [-1] * len(ids)
-    reps: list[Perm] = []
-    sizes: list[int] = []
+    members: list[list[int]] = []
     # on image tuples, g^-1 * x * g maps i to g[x[g^-1[i]]]
-    gen_invs = [(g.images, sorted(range(group.degree), key=g.images.__getitem__))
-                for g in group.generators]
-    for e, eid in ids.items():
+    gen_invs = [(g.images, _inverse(g.images)) for g in group.generators]
+    for eid in range(len(elements)):
         if class_of[eid] >= 0:
             continue
-        k = len(reps)
-        reps.append(Perm(e))
+        k = len(members)
         class_of[eid] = k
-        frontier = [e]
-        count = 1
-        while frontier:
-            x = frontier.pop()
+        orbit = [eid]
+        for xid in orbit:
+            x = elements[xid]
             for g, ginv in gen_invs:
-                y = tuple(g[x[i]] for i in ginv)
-                yid = ids[y]
+                yid = ids[tuple(g[x[i]] for i in ginv)]
                 if class_of[yid] < 0:
                     class_of[yid] = k
-                    count += 1
-                    frontier.append(y)
-        sizes.append(count)
+                    orbit.append(yid)
+        members.append(orbit)
     # the table cap, read before the power maps, which cost one product
     # per power of each representative
-    if len(reps) > caps.TABLE_CLASS_CAP:
-        raise caps.CapExceeded(f"{len(reps)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
+    if len(members) > caps.TABLE_CLASS_CAP:
+        raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
+    reps = tuple(Perm(elements[orbit[0]]) for orbit in members)
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
     # return to the identity, so its length is the order of rep_k
-    identity = tuple(range(group.degree))
     power = []
     for rep in reps:
         acc = rep.images
         row = [0]
-        while acc != identity:
+        while acc != elements[0]:
             row.append(class_of[ids[acc]])
             acc = tuple(map(rep.images.__getitem__, acc))
         power.append(tuple(row))
-    return ConjugacyClasses(group, ids, tuple(reps), tuple(sizes), tuple(class_of), tuple(power))
+    return ConjugacyClasses(group, ids, elements, tuple(members), reps, class_of, tuple(power))
 
 
 def normal_closure(group: PermGroup, seeds) -> PermGroup:

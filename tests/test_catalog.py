@@ -14,6 +14,7 @@ def test_cyclic_groups():
         g = cyclic_group(n)
         assert g.order == n
     assert cyclic_group(1).degree == 1
+    assert cyclic_group(1).generators == ()
 
 
 def test_symmetric_and_alternating():

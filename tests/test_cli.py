@@ -145,7 +145,7 @@ def test_corpus_bad_config_exits_2(capsys, tmp_path):
     for bad in ({"groups": "S3"}, {"groups": ["S3", 4]},
                 {"groups": ["NOT_A_GROUP"]},
                 {"checks": [["CHK-PROP"]]}, {"checks": "CHK-PROP"},
-                {"checks": ["CHK-NONE"]},
+                {"checks": ["CHK-NONE"]}, {"chekcs": ["CHK-PROP"]},
                 {"c44": dict(good)}, {"c44": [5]}, {"c44": [no_group]},
                 {"c44": [dict(good, a=[1])]},
                 {"c44": [dict(good, a="(1 2 3)")]},

@@ -250,7 +250,8 @@ def test_random_two_generator_classes(group):
     assert len(brute) == group.order
     assert all(cls.class_of(x) == brute[x.images] for x in elements)
     assert sum(map(len, cls.members)) == group.order
-    assert {y: j for j, ys in enumerate(cls.members) for y in ys} == brute
+    assert {cls.elements[y]: j for j, ys in enumerate(cls.members)
+            for y in ys} == brute
     first = {}
     for x in elements:
         first.setdefault(brute[x.images], x)

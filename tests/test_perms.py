@@ -56,6 +56,10 @@ def test_cycle_string_round_trip():
     for text, degree in [("(1 2 3)", 5), ("(1 5)(2 4)", 5), ("()", 4)]:
         g = p(text, degree)
         assert parse_cycles(g.cycle_string(), degree) == g
+    # cycles() lists fixed points; the cycle string leaves them out
+    g = p("(2 4)", 5)
+    assert g.cycles() == [(0,), (1, 3), (2,), (4,)]
+    assert g.cycle_string() == "(2 4)"
 
 
 def test_parse_rejects_bad_input():
@@ -118,6 +122,14 @@ def test_enumeration_ids_and_cap(monkeypatch):
         s4.element_ids()
     with pytest.raises(CapExceeded):
         s4.elements()
+
+
+def test_enumeration_certifies_the_chain_order():
+    # a doctored chain order: the enumeration finds 24 elements
+    s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
+    s4.__dict__["order"] = 23
+    with pytest.raises(ArithmeticError, match="24 elements, chain order 23"):
+        s4.element_ids()
 
 
 def test_order_divides_degree_factorial():
