@@ -44,8 +44,6 @@ def alternating_group(n: int) -> PermGroup:
     if n < 3:
         raise SpecError("alternating group needs n >= 3")
     three = cycle_perm((0, 1, 2), n)
-    if n == 3:
-        return PermGroup([three])
     big = cycle_perm(tuple(range(n)) if n % 2 else tuple(range(1, n)), n)
     return PermGroup([three, big])
 

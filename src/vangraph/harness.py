@@ -500,9 +500,13 @@ def _is_strings(value) -> bool:
 def validate_c44_config(config) -> None:
     if not isinstance(config, dict):
         raise ValueError("chief-factor configuration must be an object")
-    for key in ("group", "a", "m", "n", "p"):
+    keys = ("group", "a", "m", "n", "p")
+    for key in keys:
         if key not in config:
             raise ValueError(f"chief-factor configuration lacks {key!r}")
+    unknown = sorted(config.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown chief-factor configuration keys: {unknown}")
     if not (isinstance(config["group"], str) and type(config["p"]) is int
             and all(_is_strings(config[key]) for key in "amn")):
         raise ValueError("chief-factor configuration needs a string 'group',"

@@ -1,5 +1,6 @@
 """Permutations of {1..n} and permutation groups with a deterministic
-base-and-strong-generating-set (Schreier-Sims).
+base-and-strong-generating-set (Schreier-Sims), which also builds
+normal closures.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
@@ -53,10 +54,6 @@ class Perm:
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def conjugate_by(self, g: "Perm") -> "Perm":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points included, each rotated to start
@@ -182,6 +179,77 @@ def _sift(chain, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
     return g, len(chain)
 
 
+def _schreier_sims(gens, degree, conjugators=()):
+    """Levels (b, {p: u_p^-1}) of image tuples, top level first, of the
+    group generated by gens.  Level i is recomputed on each visit from
+    the strong generators placed at levels i, i+1, ...; a new generator
+    at level j sends the walk back to j, so every level's last visit saw
+    its final generators.  Then each g^-1 x g not yet contained, for g in
+    conjugators and x in gens, appended ones too, joins gens and the walk."""
+    identity = tuple(range(degree))
+    chain: list[tuple[int, dict]] = []
+    placed: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+
+    def place(g, level):
+        if level == len(chain):
+            b = next(p for p, q in enumerate(g) if p != q)
+            chain.append((b, {b: identity}))
+            placed.append([])
+        placed[level].append((g, _inverse(g)))
+
+    def schreier_residue(i):
+        """The first Schreier generator of level i that does not sift
+        to the identity, as (residue, level), or None."""
+        b, inverses = chain[i]
+        level_gens = [pair for level in placed[i:] for pair in level]
+        inverses.clear()
+        inverses[b] = identity
+        orbit = [b]
+        for p in orbit:
+            for g, g_inv in level_gens:
+                q = g[p]
+                if q not in inverses:
+                    inverses[q] = tuple(map(inverses[p].__getitem__, g_inv))
+                    orbit.append(q)
+        for p in sorted(inverses):
+            u = _inverse(inverses[p])
+            for g, _ in level_gens:
+                # u_p * g * u_{g(p)}^-1, composed left to right
+                schreier = tuple(map(inverses[g[p]].__getitem__,
+                                     map(g.__getitem__, u)))
+                if schreier != identity:
+                    residue, j = _sift(chain, schreier, i + 1)
+                    if residue != identity:
+                        return residue, j
+        return None
+
+    def walk(i):
+        while i >= 0:
+            found = schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                place(*found)
+                i = found[1]
+
+    # before the walk every level holds only {b: identity}, so a sift
+    # stops at the first base point that g moves
+    for g in gens:
+        place(g, _sift(chain, g, 0)[1])
+    walk(len(chain) - 1)
+    conjugators = [(g, _inverse(g)) for g in conjugators]
+    for x in gens:
+        for g, g_inv in conjugators:
+            # on image tuples, g^-1 * x * g maps i to g[x[g^-1[i]]]
+            c = tuple(g[x[i]] for i in g_inv)
+            residue, j = _sift(chain, c, 0)
+            if residue != identity:
+                gens.append(c)
+                place(residue, j)
+                walk(j)
+    return tuple(chain)
+
+
 class PermGroup:
     """Group generated by permutations of one common degree.
 
@@ -213,62 +281,7 @@ class PermGroup:
 
     @cached_property
     def _chain(self) -> tuple[tuple[int, dict[int, tuple[int, ...]]], ...]:
-        """Levels (b, {p: u_p^-1}) of image tuples, top level first.
-
-        Level i is recomputed on each visit from the strong generators
-        placed at levels i, i+1, ...; a new generator at level j sends
-        the walk back to j, so every level's last visit saw its final
-        generators."""
-        identity = tuple(range(self.degree))
-        chain: list[tuple[int, dict]] = []
-        placed: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-
-        def place(g, level):
-            if level == len(chain):
-                b = next(p for p, q in enumerate(g) if p != q)
-                chain.append((b, {b: identity}))
-                placed.append([])
-            placed[level].append((g, _inverse(g)))
-
-        def schreier_residue(i):
-            """The first Schreier generator of level i that does not sift
-            to the identity, as (residue, level), or None."""
-            b, inverses = chain[i]
-            gens = [pair for level in placed[i:] for pair in level]
-            inverses.clear()
-            inverses[b] = identity
-            orbit = [b]
-            for p in orbit:
-                for g, g_inv in gens:
-                    q = g[p]
-                    if q not in inverses:
-                        inverses[q] = tuple(map(inverses[p].__getitem__, g_inv))
-                        orbit.append(q)
-            for p in sorted(inverses):
-                u = _inverse(inverses[p])
-                for g, _ in gens:
-                    # u_p * g * u_{g(p)}^-1, composed left to right
-                    schreier = tuple(map(inverses[g[p]].__getitem__,
-                                         map(g.__getitem__, u)))
-                    if schreier != identity:
-                        residue, j = _sift(chain, schreier, i + 1)
-                        if residue != identity:
-                            return residue, j
-            return None
-
-        # before the walk every level holds only {b: identity}, so a sift
-        # stops at the first base point that g moves
-        for g in self.generators:
-            place(g.images, _sift(chain, g.images, 0)[1])
-        i = len(chain) - 1
-        while i >= 0:
-            found = schreier_residue(i)
-            if found is None:
-                i -= 1
-            else:
-                place(*found)
-                i = found[1]
-        return tuple(chain)
+        return _schreier_sims([g.images for g in self.generators], self.degree)
 
     @cached_property
     def order(self) -> int:
@@ -318,6 +331,16 @@ class PermGroup:
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"
         return f"PermGroup(degree={self.degree}, <{gens}>)"
+
+
+def normal_closure(group: PermGroup, seeds) -> PermGroup:
+    """Smallest normal subgroup of group containing the seeds, in one walk."""
+    closure = PermGroup(seeds, degree=group.degree)
+    gens = [g.images for g in closure.generators]
+    closure._chain = _schreier_sims(gens, group.degree,
+                                    [g.images for g in group.generators])
+    closure.generators = tuple(map(Perm, gens))
+    return closure
 
 
 def read_generator_file(text: str) -> PermGroup:

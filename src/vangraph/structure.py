@@ -2,13 +2,11 @@
 
 Covers: class enumeration by conjugation orbits, the class-matrix rows
 and the commuting test on class members (so the Dixon table and the
-checks read class-indexed data only), permutation-level normal
-closures (for the derived series), and GroupStructure, which
-reads the centre, minimal normal subgroups, the Fitting subgroup,
-normal p-complements, a chief series, p-solvability and the derived
-subgroup off the character table as sets of class indices.  Also
-separating point subsets for small degrees, found by counting pair
-orbits.
+checks read class-indexed data only), and GroupStructure, which reads
+the centre, minimal normal subgroups, the Fitting subgroup, normal
+p-complements, a chief series, p-solvability and the derived subgroup
+off the character table as sets of class indices.  Also separating
+point subsets for small degrees, found by counting pair orbits.
 
 Everything is deterministic: classes are discovered in element
 enumeration order (identity first, so class 0 is always the identity
@@ -24,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import caps
 from .numth import is_prime, prime_divisors
-from .perms import Perm, PermGroup, _inverse, commutator
+from .perms import Perm, PermGroup, _inverse, commutator, normal_closure
 
 if TYPE_CHECKING:
     from .dixon import CharacterTable
@@ -143,29 +141,6 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
             acc = tuple(map(rep.images.__getitem__, acc))
         power.append(tuple(row))
     return ConjugacyClasses(group, ids, elements, tuple(members), reps, class_of, tuple(power))
-
-
-def normal_closure(group: PermGroup, seeds) -> PermGroup:
-    """Smallest normal subgroup of ``group`` containing the seeds:
-    conjugate the last round's new generators by the group generators
-    and regenerate until closed.  Conjugates of older generators already
-    lie in the current subgroup."""
-    gens = [s for s in seeds if not s.is_identity()]
-    new = gens
-    queued = {g.images for g in gens}
-    while True:
-        h = PermGroup(gens, degree=group.degree)
-        fresh = []
-        for x in new:
-            for g in group.generators:
-                c = x.conjugate_by(g)
-                if c.images not in queued and c not in h:
-                    queued.add(c.images)
-                    fresh.append(c)
-        if not fresh:
-            return h
-        gens.extend(fresh)
-        new = fresh
 
 
 def _is_abelian_chief_order(order: int) -> bool:

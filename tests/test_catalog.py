@@ -24,6 +24,8 @@ def test_symmetric_and_alternating():
         g = alternating_group(n)
         assert g.order == math.factorial(n) // 2
         assert all(x.sign() == 1 for x in g.generators)
+    # the n-cycle of A3 is its 3-cycle, dropped as a duplicate
+    assert len(alternating_group(3).generators) == 1
 
 
 def test_dihedral():

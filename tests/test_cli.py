@@ -153,7 +153,8 @@ def test_corpus_bad_config_exits_2(capsys, tmp_path):
                 {"c44": [dict(good, group="NOT_A_GROUP")]},
                 {"c44": [dict(good, p="3")]},
                 {"c44": [dict(good, p=4)]},
-                {"c44": [dict(good, m=["(1 99)"])]}):
+                {"c44": [dict(good, m=["(1 99)"])]},
+                {"c44": [dict(good, pp=5)]}):
         config.write_text(json.dumps({"groups": ["S3"], **bad}))
         code, out, err = run(capsys, "corpus", "--config", str(config))
         assert code == 2, bad

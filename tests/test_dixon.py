@@ -243,7 +243,7 @@ def test_random_two_generator_classes(group):
     elements = group.elements()
     brute = {}
     for j, rep in enumerate(cls.reps):
-        conjugates = {rep.conjugate_by(h).images for h in elements}
+        conjugates = {(h.inverse() * rep * h).images for h in elements}
         assert len(conjugates) == cls.sizes[j]
         assert not conjugates & brute.keys()
         brute.update(dict.fromkeys(conjugates, j))

@@ -17,8 +17,8 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               load_corpus_config, report_dict,
                               validate_c44_config)
 from vangraph.numth import prime_divisors
-from vangraph.perms import PermGroup, parse_cycles
-from vangraph.structure import GroupStructure, normal_closure
+from vangraph.perms import PermGroup, normal_closure, parse_cycles
+from vangraph.structure import GroupStructure
 from vangraph.vanishing import PrimeGraph, prime_graph
 
 
@@ -116,6 +116,8 @@ def test_c44_config_validation():
                        ("m", None), ("p", "2"), ("p", True)):
         with pytest.raises(ValueError, match="needs a string 'group'"):
             validate_c44_config(dict(good, **{key: value}))
+    with pytest.raises(ValueError, match=r"unknown .* keys: \['pp'\]"):
+        validate_c44_config(dict(good, pp=5))
 
 
 def test_c44_vacuous_when_hypotheses_fail(analyses):

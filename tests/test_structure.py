@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_dixon import class_matrix, two_generator_groups
 
 from vangraph import caps, catalog
@@ -13,10 +14,9 @@ from vangraph.caps import CapExceeded
 from vangraph.dixon import character_table
 from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
-from vangraph.perms import PermGroup, parse_cycles
+from vangraph.perms import PermGroup, normal_closure, parse_cycles
 from vangraph.structure import (GroupStructure, conjugacy_classes,
-                                joint_stabilizer_index, normal_closure,
-                                separating_subsets)
+                                joint_stabilizer_index, separating_subsets)
 
 
 def grp(spec):
@@ -67,7 +67,7 @@ def test_class_of_is_conjugation_invariant():
     for _ in range(100):
         x = rng.choice(elems)
         h = rng.choice(elems)
-        assert cls.class_of(x) == cls.class_of(x.conjugate_by(h))
+        assert cls.class_of(x) == cls.class_of(h.inverse() * x * h)
 
 
 def centralizer_order(g, x):
@@ -107,6 +107,24 @@ def test_normal_closure_in_s4():
     v4 = normal_closure(g, [parse_cycles("(1 2)(3 4)", 4)])
     assert v4.order == 4
     assert commute(v4.generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_generator_groups, st.data())
+def test_normal_closure_walk(group, data):
+    # the closure keeps its walk's chain; a fresh walk on its generators
+    # and its enumeration must agree with that chain
+    elements = group.elements()
+    seeds = [elements[i] for i in data.draw(
+        st.lists(st.integers(0, len(elements) - 1), max_size=3))]
+    closure = normal_closure(group, seeds)
+    fresh = PermGroup(closure.generators, degree=group.degree)
+    assert closure.order == fresh.order == len(closure.element_ids())
+    assert all(x in closure for x in seeds)
+    for x in closure.generators:
+        assert x in group
+        for g in group.generators:
+            assert g.inverse() * x * g in closure
 
 
 def test_class_closures_match_normal_closures(analyses):
@@ -242,7 +260,7 @@ def test_fitting_is_nilpotent_and_normal():
         assert sub.order == len(members) == gs.order(fit)
         for x in sub.generators:
             for h in g.generators:
-                assert x.conjugate_by(h) in sub
+                assert h.inverse() * x * h in sub
         # nilpotent: the subgroup is its own Fitting subgroup
         inner = GroupStructure(character_table(conjugacy_classes(sub)))
         assert inner.order(inner.fitting_subgroup) == sub.order
