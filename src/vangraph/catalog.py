@@ -32,12 +32,9 @@ def cyclic_group(n: int) -> PermGroup:
 def symmetric_group(n: int) -> PermGroup:
     if n < 1:
         raise SpecError("symmetric group needs n >= 1")
-    if n == 1:
-        return PermGroup([], degree=1)
-    gens = [cycle_perm((0, 1), n)]
-    if n > 2:
-        gens.append(cycle_perm(tuple(range(n)), n))
-    return PermGroup(gens)
+    # PermGroup drops the identity and repeats, which S1 and S2 yield
+    return PermGroup([cycle_perm(tuple(range(min(n, 2))), n),
+                      cycle_perm(tuple(range(n)), n)])
 
 
 def alternating_group(n: int) -> PermGroup:

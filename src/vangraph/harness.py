@@ -20,8 +20,8 @@ from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
 from .structure import ConjugacyClasses, GroupStructure, conjugacy_classes
-from .vanishing import (PrimeGraph, VanishingReport, is_complete_vertex,
-                        prime_graph, vanishing_report)
+from .vanishing import (PrimeGraph, VanishingReport, prime_graph,
+                        vanishing_report)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -93,10 +93,10 @@ def analyze(spec: str | PermGroup) -> Analysis:
     table = character_table(classes)
     structure = GroupStructure(table)
     # both structure certificates raise here, before any check reads
-    # the structure: |G'| against the derived series, then the chief
-    # factors against |G|
-    structure.derived_series
+    # the structure: the chief factors against |G|, then the derived
+    # terms, which read the same kernels, against their orders and G'
     structure.chief_factors
+    structure.derived_series
     return Analysis(
         spec=name,
         group=group,
@@ -183,9 +183,10 @@ def check_noncomplete_vertex(analysis: Analysis) -> Verdict:
         return Verdict("CHK-COR", VACUOUS,
                        "no nonabelian minimal normal subgroup")
     graph_v = analysis.vanishing.vanishing_graph
-    verts = set(graph_v.vertices)
+    unjoined = {r for pair in graph_v.non_edges(graph_v.vertices)
+                for r in pair}
     loose = [p for p in analysis.structure.primes
-             if p not in verts or not is_complete_vertex(graph_v, p)]
+             if p not in graph_v.vertices or p in unjoined]
     if not loose:
         return Verdict("CHK-COR", VACUOUS,
                        "every prime divisor is a complete vertex of the"
@@ -417,15 +418,16 @@ def report_dict(analysis: Analysis, verdicts) -> dict:
     structure = analysis.structure
     group = analysis.group
     van = analysis.vanishing
+    sizes = analysis.classes.sizes
     return {
         "spec": analysis.spec,
         "order": group.order,
         "degree": group.degree,
         "primes": list(structure.primes),
-        "class_sizes": list(van.all_sizes),
+        "class_sizes": list(sizes),
         "character_degrees": list(analysis.table.degrees),
         "vanishing_classes": list(van.vanishing_classes),
-        "vanishing_class_sizes": list(van.vanishing_sizes),
+        "vanishing_class_sizes": [sizes[j] for j in van.vanishing_classes],
         "V": list(van.size_primes),
         "V_v": list(van.vanishing_size_primes),
         "graph": {"vertices": list(van.graph.vertices),
@@ -438,7 +440,8 @@ def report_dict(analysis: Analysis, verdicts) -> dict:
         "minimal_normals": [
             [structure.order(m), m not in structure.nonabelian_minimal_normals]
             for m in structure.minimal_normal_subgroups],
-        "derived_series": [s.order for s in structure.derived_series],
+        "derived_series": [structure.order(s)
+                           for s in structure.derived_series],
         "is_solvable": structure.is_solvable(),
         "p_nilpotent": {str(p): structure.normal_p_complement(p) is not None
                         for p in structure.primes},

@@ -78,9 +78,6 @@ class Perm:
         lengths = [len(c) for c in self.cycles()]
         return tuple(sorted(lengths, reverse=True))
 
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
     def sign(self) -> int:
         odd_cycles = sum(1 for c in self.cycles() if len(c) % 2 == 0)
         return -1 if odd_cycles % 2 else 1

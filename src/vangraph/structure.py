@@ -159,8 +159,9 @@ class GroupStructure:
     of the irreducible characters whose kernels contain it, so the
     normal closure of a class set is such an intersection, and every
     search here runs over the k class indices, never over elements.
-    Only the derived series works on permutations; its second term is
-    checked against the table's derived subgroup.
+    Each derived term is a normal closure of commutators on
+    permutations, read back as the closure of its generators' classes
+    and checked against its order.
     """
 
     def __init__(self, table: CharacterTable):
@@ -229,25 +230,33 @@ class GroupStructure:
               if d == 1))
 
     @cached_property
-    def derived_series(self) -> tuple[PermGroup, ...]:
-        """G >= G' >= G'' >= ...; stops at 1 or at the first repeat (a
-        perfect term), which is included so the stall is visible.
-        Raises ArithmeticError when |G'| disagrees with the table."""
-        series = [self.group]
+    def derived_series(self) -> tuple[frozenset[int], ...]:
+        """G >= G' >= G'' >= ... as class sets; stops at 1 or at the
+        first repeat (a perfect term), which is included so the stall
+        is visible.  Raises ArithmeticError when a term's class set does
+        not have the term's order, or when G' is not the table's
+        derived subgroup."""
+        terms = [self.group]
         while True:
-            current = series[-1]
+            current = terms[-1]
             comms = [commutator(a, b)
                      for i, a in enumerate(current.generators)
                      for b in current.generators[i + 1:]]
             nxt = normal_closure(current, comms)
-            series.append(nxt)
+            terms.append(nxt)
             if nxt.order == 1 or nxt.order == current.order:
                 break
-        if series[1].order != self.order(self.derived_subgroup):
+        class_of = self.classes.class_of
+        series = tuple(self.closure(class_of(g) for g in term.generators)
+                       for term in terms)
+        if any(self.order(s) != t.order for s, t in zip(series, terms)):
             raise ArithmeticError(
-                "derived subgroup order disagrees with the kernels of the"
+                "a derived term's class set disagrees with its order")
+        if series[1] != self.derived_subgroup:
+            raise ArithmeticError(
+                "derived subgroup disagrees with the kernels of the"
                 " linear characters")
-        return tuple(series)
+        return series
 
     @cached_property
     def chief_series(self) -> tuple[frozenset[int], ...]:
@@ -402,6 +411,3 @@ class SeparationAnomaly(Exception):
 
     def __init__(self, group, p, q):
         super().__init__(f"no separating subsets for primes {p},{q} in {group!r}")
-        self.group = group
-        self.p = p
-        self.q = q

@@ -45,14 +45,6 @@ def prime_graph(sizes) -> PrimeGraph:
     return PrimeGraph(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
-def is_complete_vertex(g: PrimeGraph, p: int) -> bool:
-    """Whether p is adjacent to every other vertex.  Asking about a
-    non-vertex is a caller error, distinct from returning False."""
-    if p not in g.vertices:
-        raise ValueError(f"{p} is not a vertex of the graph")
-    return all(g.has_edge(p, q) for q in g.vertices if q != p)
-
-
 def vanishing_class_indices(table: CharacterTable) -> tuple[int, ...]:
     """Classes on which some irreducible character vanishes.  The
     identity class never qualifies: degrees are positive integers."""
@@ -63,29 +55,23 @@ def vanishing_class_indices(table: CharacterTable) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class VanishingReport:
     vanishing_classes: tuple[int, ...]
-    all_sizes: tuple[int, ...]           # every class size, class order
-    vanishing_sizes: tuple[int, ...]     # sizes of the vanishing classes
-    size_primes: tuple[int, ...]         # primes dividing some class size
-    vanishing_size_primes: tuple[int, ...]
-    graph: PrimeGraph
-    vanishing_graph: PrimeGraph
+    graph: PrimeGraph              # on every class size
+    vanishing_graph: PrimeGraph    # on the vanishing class sizes
+
+    @property
+    def size_primes(self) -> tuple[int, ...]:
+        return self.graph.vertices
+
+    @property
+    def vanishing_size_primes(self) -> tuple[int, ...]:
+        return self.vanishing_graph.vertices
 
 
 def vanishing_report(table: CharacterTable) -> VanishingReport:
     sizes = table.classes.sizes
     vc = vanishing_class_indices(table)
-    vsizes = tuple(sizes[j] for j in vc)
-    g_all = prime_graph(sizes)
-    g_van = prime_graph(vsizes)
-    return VanishingReport(
-        vanishing_classes=vc,
-        all_sizes=sizes,
-        vanishing_sizes=vsizes,
-        size_primes=g_all.vertices,
-        vanishing_size_primes=g_van.vertices,
-        graph=g_all,
-        vanishing_graph=g_van,
-    )
+    return VanishingReport(vc, prime_graph(sizes),
+                           prime_graph(sizes[j] for j in vc))
 
 
 def dot_text(g: PrimeGraph, bold_edges=()) -> str:

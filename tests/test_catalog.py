@@ -7,6 +7,7 @@ import pytest
 from vangraph.catalog import (SpecError, alternating_group, catalog_group,
                               cyclic_group, dihedral_group, direct_product,
                               psl2, symmetric_group)
+from vangraph.perms import cycle_perm
 
 
 def test_cyclic_groups():
@@ -18,8 +19,13 @@ def test_cyclic_groups():
 
 
 def test_symmetric_and_alternating():
-    for n in range(2, 8):
+    for n in range(1, 8):
         assert symmetric_group(n).order == math.factorial(n)
+    # PermGroup drops the identity and repeated generators: S1 has none,
+    # and the 2-cycle of S2 repeats its transposition
+    assert symmetric_group(1).generators == ()
+    assert symmetric_group(1).degree == 1
+    assert symmetric_group(2).generators == (cycle_perm((0, 1), 2),)
     for n in range(3, 8):
         g = alternating_group(n)
         assert g.order == math.factorial(n) // 2

@@ -212,8 +212,9 @@ def test_every_check_is_reached_past_its_hypothesis(analyses, monkeypatch):
 
 
 def test_analyze_runs_structure_certificates(monkeypatch):
-    # analyze evaluates both certificates itself, so a wrong table
-    # raises before any check or report reads the structure
+    # analyze evaluates both certificates itself, chief factors first,
+    # so a wrong table raises before any check or report reads the
+    # structure
     class LinearKernelsWidened(GroupStructure):
         # every linear character trivial: claims G' = G
         def __init__(self, table):
@@ -233,7 +234,7 @@ def test_analyze_runs_structure_certificates(monkeypatch):
                                                    self.kernels))
 
     monkeypatch.setattr(harness, "GroupStructure", LinearKernelsWidened)
-    with pytest.raises(ArithmeticError, match="derived subgroup"):
+    with pytest.raises(ArithmeticError, match="derived term"):
         harness.analyze("S4")
     monkeypatch.setattr(harness, "GroupStructure", BogusKernel)
     with pytest.raises(ArithmeticError, match="chief factor"):
@@ -420,7 +421,7 @@ def test_environment_enumeration_cap_reaches_corpus_workers(monkeypatch):
                for v in s5["verdicts"])
 
 
-# The five graph-reading checks written as loops over primes, class
+# The six graph-reading checks written as loops over primes, class
 # sizes and degrees, without PrimeGraph: an independent oracle.
 
 def oracle_thma(analysis):
@@ -462,6 +463,26 @@ def oracle_thmb(analysis):
     return Verdict("CHK-THMB", PASS,
                    f"V_v = pi(G) = {sorted(primes)} and the vanishing"
                    " graph is complete")
+
+
+def oracle_cor(analysis):
+    if not analysis.structure.nonabelian_minimal_normals:
+        return Verdict("CHK-COR", VACUOUS,
+                       "no nonabelian minimal normal subgroup")
+    sizes = analysis.classes.sizes
+    vsizes = [sizes[k] for k in analysis.vanishing.vanishing_classes]
+    primes = analysis.structure.primes
+    verts = [p for p in primes if any(s % p == 0 for s in vsizes)]
+    loose = [p for p in primes if p not in verts
+             or any(not any(s % (p * q) == 0 for s in vsizes)
+                    for q in verts if q != p)]
+    if not loose:
+        return Verdict("CHK-COR", VACUOUS,
+                       "every prime divisor is a complete vertex of the"
+                       " vanishing graph")
+    return harness._pair_solvability(
+        analysis, loose, "CHK-COR",
+        f"p-solvable for every non-complete vertex in {loose}")
 
 
 def oracle_l32(analysis):
@@ -543,19 +564,17 @@ def oracle_cd_a(analysis):
 
 
 ORACLES = {"CHK-THMA": oracle_thma, "CHK-THMB": oracle_thmb,
-           "CHK-L32": oracle_l32, "CHK-P34": oracle_p34,
-           "CHK-CD-A": oracle_cd_a}
+           "CHK-COR": oracle_cor, "CHK-L32": oracle_l32,
+           "CHK-P34": oracle_p34, "CHK-CD-A": oracle_cd_a}
 
 
 def with_vanishing(analysis, classes):
     """The analysis with only the given classes marked vanishing, so the
     theorems' FAIL branches are reached too."""
-    vsizes = tuple(analysis.classes.sizes[j] for j in classes)
-    g_van = prime_graph(vsizes)
+    sizes = analysis.classes.sizes
     van = dataclasses.replace(
         analysis.vanishing, vanishing_classes=tuple(classes),
-        vanishing_sizes=vsizes, vanishing_size_primes=g_van.vertices,
-        vanishing_graph=g_van)
+        vanishing_graph=prime_graph(sizes[j] for j in classes))
     return dataclasses.replace(analysis, vanishing=van)
 
 

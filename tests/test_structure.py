@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dixon import class_matrix, two_generator_groups
+from test_perms import perm_order
 
 from vangraph import caps, catalog
 from vangraph.caps import CapExceeded
@@ -24,11 +25,10 @@ def grp(spec):
 
 
 def test_class_orders_are_element_orders(analyses):
-    # Perm.order() reads the cycle lengths; orders reads the power maps
+    # perm_order reads the cycle lengths; orders reads the power maps
     for spec in DEFAULT_CORPUS + ("S7", "A8", "S8"):
         classes = analyses(spec).classes
-        assert classes.orders == tuple(rep.order() for rep in classes.reps), \
-            spec
+        assert classes.orders == tuple(map(perm_order, classes.reps)), spec
 
 
 def test_class_sizes_frozen():
@@ -171,8 +171,11 @@ def test_chief_factors_agree_with_derived_series(analyses):
         assert series[0] == frozenset({0})
         assert len(series[-1]) == gs.classes.count
         assert all(a < b for a, b in zip(series, series[1:])), spec
-        assert gs.is_solvable() == (gs.derived_series[-1].order == 1), spec
-        assert gs.order(gs.derived_subgroup) == gs.derived_series[1].order
+        derived = gs.derived_series
+        assert all(gs.closure(n) == n for n in derived), spec
+        assert all(a > b for a, b in zip(derived, derived[1:-1])), spec
+        assert gs.is_solvable() == (derived[-1] == frozenset({0})), spec
+        assert derived[1] == gs.derived_subgroup, spec
 
 
 def test_structure_certificates_raise():
@@ -182,13 +185,73 @@ def test_structure_certificates_raise():
     everything = frozenset(range(5))
     gs.kernels = tuple(everything if d == 1 else ker
                        for d, ker in zip(gs.table.degrees, gs.kernels))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="derived term"):
+        gs.derived_series
+    # G' read as V4 = {0, 4}: every term has its order, but G' is not
+    # the kernels' derived subgroup
+    gs = structure("S4")
+    gs.derived_subgroup = frozenset({0, 4})
+    with pytest.raises(ArithmeticError, match="derived subgroup"):
         gs.derived_series
     # a kernel of classes 0 and 1 is a "normal subgroup" of order 7
     gs = structure("S4")
     gs.kernels = (everything, frozenset({0, 1}))
     with pytest.raises(ArithmeticError):
         gs.chief_factors
+
+
+def test_derived_terms_are_checked_by_order():
+    # the kernel {0, 1} in place of the degree-2 character's V4 = {0, 4}
+    # leaves G' = A4 = {0, 3, 4} alone, but the closure of the classes
+    # of V4's generators becomes {0, 3, 4}, of order 12, not 4
+    gs = structure("S4")
+    gs.kernels = tuple(frozenset({0, 1}) if d == 2 else ker
+                       for d, ker in zip(gs.table.degrees, gs.kernels))
+    assert gs.derived_subgroup == frozenset({0, 3, 4})
+    with pytest.raises(ArithmeticError, match="derived term"):
+        gs.derived_series
+
+
+def brute_derived_series(group):
+    """Each term is generated by the commutators of all pairs of the
+    previous term's elements, on image tuples; stops as derived_series
+    does."""
+    def mul(a, b):
+        return tuple(b[i] for i in a)
+
+    def inv(a):
+        out = [0] * len(a)
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+
+    term = set(group.element_ids())
+    series = [term]
+    while True:
+        comms = {mul(mul(inv(a), inv(b)), mul(a, b))
+                 for a in term for b in term}
+        sub = {tuple(range(group.degree))}
+        frontier = list(sub)
+        for x in frontier:
+            for c in comms:
+                y = mul(x, c)
+                if y not in sub:
+                    sub.add(y)
+                    frontier.append(y)
+        series.append(sub)
+        if len(sub) == 1 or len(sub) == len(term):
+            return series
+        term = sub
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_generator_groups.filter(lambda g: g.degree <= 5))
+def test_derived_series_matches_brute_force(group):
+    gs = GroupStructure(character_table(conjugacy_classes(group)))
+    classes = gs.classes
+    want = [frozenset(classes.class_of_element[classes.ids[x]] for x in term)
+            for term in brute_derived_series(group)]
+    assert list(gs.derived_series) == want
 
 
 def test_center_orders():
@@ -267,16 +330,18 @@ def test_fitting_is_nilpotent_and_normal():
 
 
 def test_derived_series():
-    def orders(spec):
+    def terms(spec):
         gs = structure(spec)
-        series = [s.order for s in gs.derived_series]
-        assert gs.order(gs.derived_subgroup) == series[1]
-        return series
+        series = gs.derived_series
+        assert series[1] == gs.derived_subgroup
+        return [(gs.order(s), sorted(s)) for s in series]
 
-    assert orders("S4") == [24, 12, 4, 1]
-    assert orders("S3") == [6, 3, 1]
-    assert orders("A5") == [60, 60]
-    assert orders("C6") == [6, 1]
+    # S4 classes: 1, (1 2), (1 2 3 4), (1 3 4), (1 3)(2 4)
+    assert terms("S4") == [(24, [0, 1, 2, 3, 4]), (12, [0, 3, 4]),
+                           (4, [0, 4]), (1, [0])]
+    assert terms("S3") == [(6, [0, 1, 2]), (3, [0, 2]), (1, [0])]
+    assert terms("A5") == [(60, [0, 1, 2, 3, 4])] * 2
+    assert terms("C6") == [(6, list(range(6))), (1, [0])]
 
 
 def test_solvability():

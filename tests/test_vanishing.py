@@ -1,15 +1,14 @@
 """Vanishing classes, prime graphs, and where vanishing elements sit."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_perms import perm_order
 
 from vangraph import catalog
 from vangraph.dixon import character_table
 from vangraph.structure import conjugacy_classes
-from vangraph.vanishing import (PrimeGraph, dot_text, is_complete_vertex,
-                                prime_graph, vanishing_class_indices,
-                                vanishing_report)
+from vangraph.vanishing import (PrimeGraph, dot_text, prime_graph,
+                                vanishing_class_indices)
 
 
 def is_subgraph(small, big):
@@ -60,14 +59,6 @@ def test_non_edges():
     assert tri.non_edges(tri.vertices) == []
 
 
-def test_complete_vertex():
-    path = PrimeGraph((2, 3, 5), ((2, 3), (3, 5)))
-    assert is_complete_vertex(path, 3)
-    assert not is_complete_vertex(path, 2)
-    with pytest.raises(ValueError, match="7 is not a vertex"):
-        is_complete_vertex(path, 7)
-
-
 def test_dot_text():
     g = prime_graph([1, 6, 6, 8, 3])
     assert dot_text(g) == "graph G {\n  2;\n  3;\n  2 -- 3;\n}\n"
@@ -84,8 +75,9 @@ def report_for(spec, analyses):
 def test_s3_report(analyses):
     table, rep = report_for("S3", analyses)
     assert rep.vanishing_classes == (1,)
-    assert rep.all_sizes == (1, 3, 2)
-    assert rep.vanishing_sizes == (3,)
+    sizes = table.classes.sizes
+    assert sizes == (1, 3, 2)
+    assert [sizes[j] for j in rep.vanishing_classes] == [3]
     assert rep.size_primes == (2, 3)
     assert rep.vanishing_size_primes == (3,)
     assert rep.graph == PrimeGraph((2, 3), ())
@@ -110,10 +102,11 @@ def test_identity_class_never_vanishes(analyses):
 def test_vanishing_data_are_subsets(analyses):
     for spec in ("S3", "S4", "S5", "A4", "A5", "D8", "D12", "PSL(2,7)",
                  "C2 x A5"):
-        _, rep = report_for(spec, analyses)
+        table, rep = report_for(spec, analyses)
         # sub-multiset of sizes
-        rest = list(rep.all_sizes)
-        for s in rep.vanishing_sizes:
+        sizes = table.classes.sizes
+        rest = list(sizes)
+        for s in (sizes[j] for j in rep.vanishing_classes):
             assert s in rest
             rest.remove(s)
         assert set(rep.vanishing_size_primes) <= set(rep.size_primes)
@@ -163,12 +156,12 @@ def test_defect_zero_forces_vanishing(analyses):
     for q in (2, 3, 5):
         assert a.table.defect_zero_rows(q)
         for x in a.group.elements():
-            if x.order() % q == 0:
+            if perm_order(x) % q == 0:
                 assert a.classes.class_of(x) in a.vanishing.vanishing_classes
     # then with N a direct factor of C2 x A5
     prod = analyses("C2 x A5")
     for x in catalog.catalog_group("A5").elements():
-        if x.order() % 5 == 0:
+        if perm_order(x) % 5 == 0:
             lifted = x.embed(7, 2)
             assert prod.classes.class_of(lifted) in \
                 prod.vanishing.vanishing_classes
@@ -186,7 +179,8 @@ def test_large_prime_socle_elements_vanish(analyses):
                 if a.structure.order(m) % p:
                     continue
                 for x in a.group.elements():
-                    if a.classes.class_of(x) in m and x.order() % p == 0:
+                    if (a.classes.class_of(x) in m
+                            and perm_order(x) % p == 0):
                         assert a.classes.class_of(x) in \
                             a.vanishing.vanishing_classes, (spec, p)
 
