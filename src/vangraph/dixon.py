@@ -4,8 +4,8 @@ Pipeline: simultaneous eigenspace splitting over a prime field F_l
 (l = 1 mod the group exponent, l squared beyond four times the order)
 by class matrices, smallest class first, while a space is still wider
 than a line; a d-dimensional space reads only the d rows of a class
-matrix at its pivot positions, each row |C_i| products (Schneider's
-refinement of Dixon's method) -> the mod-l characters read off the
+matrix at its pivot positions, each row |C_i| products of |word| table
+steps each (Schneider's refinement of Dixon's method) -> the mod-l characters read off the
 common eigenvectors -> each degree d read off the orthogonality norm:
 d^2 = |G| / norm mod l, and since l > 2 sqrt|G| exactly one d in
 1..sqrt|G| has that square, so a search finds it -> exact lift to
@@ -130,9 +130,9 @@ def _eigenlines(classes: ConjugacyClasses, ell: int) -> list[list[int]]:
     columns P, so b_c is 1 at P[c] and 0 at the other pivots.  Then
     (M b_c)_P is column c of M restricted to W, and a d-dimensional W
     needs only the d rows of M at P (Schneider, J. Symbolic Comput. 9,
-    1990).  Classes are taken smallest first: every class costs |C_i|
-    products per row, and the same rows are needed whichever class
-    comes next.
+    1990).  Classes are taken smallest first: row r of class i costs
+    |C_i| * |word(rep_r)| table steps, and the same rows are needed
+    whichever class comes next.
     """
     k = classes.count
     spaces = [(list(range(k)), [[int(a == b) for a in range(k)]

@@ -1,6 +1,10 @@
 """Permutations of {1..n} and permutation groups with a deterministic
 base-and-strong-generating-set (Schreier-Sims), which also builds
-normal closures.
+normal closures, and a breadth-first element enumeration.  The
+enumeration numbers the elements and records, as integer arrays, each
+generator's right-multiplication table on those numbers and the
+product that first reached each element, so every element is a word in
+the generators and a product with it is a walk through the tables.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -247,6 +252,47 @@ def _schreier_sims(gens, degree, conjugators=()):
     return tuple(chain)
 
 
+class Enumeration:
+    """A group's elements as ids 0..|G|-1, numbered by one breadth-first
+    search over the generators g_0, ..., g_(k-1), identity first.
+
+    ``ids`` maps each element's image tuple to its id, in id order.
+    ``right[h][x]`` is the id of x * g_h, so a product with a generator
+    is one table lookup.  The search forms the products x * g_0, ...,
+    x * g_(k-1) for x = 0, 1, ... in turn, so x * g_h is product number
+    x * k + h, and ``origin[x]`` is the number of the product that
+    first reached x: x = w * g_h for (w, h) = divmod(origin[x], k),
+    with w < x (``origin[0]`` is unused).  Following these parents back
+    to the identity spells x as a word in the generators, so y * x is
+    |word(x)| lookups for any y.  The tables are ``array('i')``, four
+    bytes an entry; a product number is below the k * |G| entries of
+    the right tables, so it fits one.
+    """
+
+    __slots__ = ("ids", "right", "origin")
+
+    def __init__(self, ids: dict[tuple[int, ...], int],
+                 right: tuple[array, ...], origin: array):
+        self.ids = ids
+        self.right = right
+        self.origin = origin
+
+    def word(self, x: int) -> list[int]:
+        """Generator indices h_1, ..., h_m with x = g_h1 * ... * g_hm,
+        the breadth-first path to x; empty for the identity."""
+        word = []
+        while x:
+            x, h = divmod(self.origin[x], len(self.right))
+            word.append(h)
+        word.reverse()
+        return word
+
+    def steps(self, x: int) -> tuple[array, ...]:
+        """The right tables along x's word: looked up in turn, they take
+        the id of y to the id of y * x."""
+        return tuple(self.right[h] for h in self.word(x))
+
+
 class PermGroup:
     """Group generated by permutations of one common degree.
 
@@ -294,32 +340,54 @@ class PermGroup:
     # -- enumeration -----------------------------------------------------
 
     @cached_property
-    def _enumeration(self) -> dict[tuple[int, ...], int]:
+    def _enumeration(self) -> Enumeration:
+        # the chain and the enumeration derive |G| independently: the
+        # tables are sized by the chain's order, the search fails on the
+        # first element past it, and the count is checked after it
+        n = self.order
+        k = len(self.generators)
         ids = {tuple(range(self.degree)): 0}
+        setdefault = ids.setdefault
         frontier = list(ids)
-        gens = [g.images for g in self.generators]
-        for e in frontier:
-            for g in gens:
-                f = tuple(map(g.__getitem__, e))
-                if f not in ids:
-                    ids[f] = len(ids)
+        right = tuple(array("i", [0]) * n for _ in range(k))
+        origin = array("i", [0]) * n
+        gens = [(h, g.images.__getitem__, table)
+                for h, (g, table) in enumerate(zip(self.generators, right))]
+        for x, e in enumerate(frontier):
+            for h, g, table in gens:
+                f = tuple(map(g, e))
+                y = setdefault(f, len(frontier))
+                table[x] = y
+                if y == len(frontier):
+                    if y == n:
+                        raise ArithmeticError("enumeration found more"
+                                              f" elements than the chain order {n}")
                     frontier.append(f)
-        # the chain and the enumeration derive |G| independently
-        if len(ids) != self.order:
+                    origin[y] = x * k + h
+        if len(ids) != n:
             raise ArithmeticError(
-                f"enumeration found {len(ids)} elements, chain order {self.order}")
-        return ids
+                f"enumeration found {len(ids)} elements, chain order {n}")
+        return Enumeration(ids, right, origin)
 
-    def element_ids(self) -> dict[tuple[int, ...], int]:
-        """Image tuple -> element id for every element; the ids are
-        0..|G|-1 in deterministic breadth-first order (identity first),
-        which is also the dict's order.  Do not mutate the result.
-        Refuses via CapExceeded when the order exceeds ``caps.enum_cap()``,
-        and raises ArithmeticError when the count differs from it."""
+    def enumeration(self) -> Enumeration:
+        """Every element as an id, with the generators' right tables and
+        the product that first reached each element.  Refuses via
+        CapExceeded when the order exceeds ``caps.enum_cap()``, and
+        raises ArithmeticError when the count differs from the chain's
+        order."""
         cap = caps.enum_cap()
         if self.order > cap:
             raise caps.CapExceeded(f"order {self.order} exceeds enumeration cap {cap}")
         return self._enumeration
+
+    def element_ids(self) -> dict[tuple[int, ...], int]:
+        """Image tuple -> element id for every element; the ids are
+        0..|G|-1 in deterministic breadth-first order (identity first),
+        which is also the dict's order.  Do not mutate the result.  The
+        ids are those of ``enumeration()``, whose tables spell every
+        element as a word in the generators.
+        Refuses and raises as ``enumeration`` does."""
+        return self.enumeration().ids
 
     def elements(self) -> tuple[Perm, ...]:
         """All elements as Perm values, in element id order."""

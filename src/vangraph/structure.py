@@ -1,8 +1,9 @@
 """Conjugacy classes and the normal structure read off them.
 
-Covers: class enumeration by conjugation orbits, the class-matrix rows
-and the commuting test on class members (so the Dixon table and the
-checks read class-indexed data only), and GroupStructure, which reads
+Covers: class enumeration by conjugation orbits on element ids, power
+maps and class-matrix rows stepped through the enumeration's right
+tables, and the commuting test on class members (so the Dixon table and
+the checks read class-indexed data only), and GroupStructure, which reads
 the centre, minimal normal subgroups, the Fitting subgroup, normal
 p-complements, a chief series, p-solvability and the derived subgroup
 off the character table as sets of class indices.  Also separating
@@ -14,15 +15,16 @@ class), and searches iterate in fixed sorted orders.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 from typing import TYPE_CHECKING
 
 from . import caps
 from .numth import is_prime, prime_divisors
-from .perms import Perm, PermGroup, _inverse, commutator, normal_closure
+from .perms import Enumeration, Perm, PermGroup, commutator, normal_closure
 
 if TYPE_CHECKING:
     from .dixon import CharacterTable
@@ -32,22 +34,25 @@ if TYPE_CHECKING:
 class ConjugacyClasses:
     """Conjugacy classes of a fully enumerated permutation group.
 
-    ``ids`` maps each element's image tuple to its id, ``elements[id]``
-    is that tuple (the dict's own key) and ``class_of_element[id]`` its
-    class.  ``members[k]`` lists the ids of class k as the class search
+    ``enumeration`` holds the element ids, the generators' right tables
+    and each element's word; ``elements[id]`` is the element's image
+    tuple (the id dict's own key) and ``class_of_element[id]`` its
+    class.  ``members[k]`` holds the ids of class k as the class search
     reached them, ``sizes[k]`` is their count, and ``reps[k]``, the
     element at ``members[k][0]``, is the first of class k in enumeration
     order; class 0 is the identity class.  ``power_class(k, e)`` gives
     the class of rep_k ** e for any integer e, and ``orders[k]`` the
-    order of rep_k.
+    order of rep_k.  The class search, the power maps and the
+    class-matrix rows step through the right tables on ids and build no
+    image tuple; only the commuting test multiplies image tuples.
     """
 
     group: PermGroup
-    ids: dict[tuple[int, ...], int]
+    enumeration: Enumeration
     elements: list[tuple[int, ...]]
-    members: tuple[list[int], ...]
+    members: tuple[array, ...]
     reps: tuple[Perm, ...]
-    class_of_element: list[int]
+    class_of_element: array
     _power: tuple[tuple[int, ...], ...]
 
     @property
@@ -56,7 +61,7 @@ class ConjugacyClasses:
 
     def class_of(self, g: Perm) -> int:
         try:
-            return self.class_of_element[self.ids[g.images]]
+            return self.class_of_element[self.enumeration.ids[g.images]]
         except KeyError:
             raise ValueError("element not in group") from None
 
@@ -76,17 +81,22 @@ class ConjugacyClasses:
         """The element order of each class: the period of its power map."""
         return tuple(map(len, self._power))
 
+    @cached_property
+    def _rep_steps(self) -> tuple[tuple[array, ...], ...]:
+        return tuple(self.enumeration.steps(ys[0]) for ys in self.members)
+
     def class_matrix_row(self, i: int, r: int) -> list[int]:
         """Row r of the class matrix M_i: entry c counts the x in class i
         with x^-1 * rep_r in class c, which is the class constant
-        a[i][c][r].  Walks the inverse class of i at |C_i| products."""
-        ids = self.ids
-        elements = self.elements
+        a[i][c][r].  Walks the inverse class of i through the right
+        tables along rep_r's word: |C_i| * |word| table steps."""
+        ys = self.members[self.inverse_class(i)]
+        for table in self._rep_steps[r]:
+            ys = [table[y] for y in ys]
         class_of = self.class_of_element
-        rep = self.reps[r].images
         row = [0] * self.count
-        for y in self.members[self.inverse_class(i)]:
-            row[class_of[ids[tuple(map(rep.__getitem__, elements[y]))]]] += 1
+        for y in ys:
+            row[class_of[y]] += 1
         return row
 
     def noncommuting_connected(self, k: int) -> bool:
@@ -105,42 +115,68 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
-    ids = group.element_ids()
-    elements = list(ids)
-    class_of = [-1] * len(ids)
-    members: list[list[int]] = []
-    # on image tuples, g^-1 * x * g maps i to g[x[g^-1[i]]]
-    gen_invs = [(g.images, _inverse(g.images)) for g in group.generators]
-    for eid in range(len(elements)):
+    enumeration = group.enumeration()
+    class_of, members = _class_search(enumeration)
+    # the table cap, read before the power maps, which walk each
+    # representative's powers
+    if len(members) > caps.TABLE_CLASS_CAP:
+        raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
+    elements = list(enumeration.ids)
+    reps = tuple(Perm(elements[ys[0]]) for ys in members)
+    # row k lists the classes of rep_k ** 0, 1, ... until the powers
+    # return to the identity, so its length is the order of rep_k
+    power = []
+    for ys in members:
+        steps = enumeration.steps(ys[0])
+        x = ys[0]
+        row = [0]
+        while x:
+            row.append(class_of[x])
+            for table in steps:
+                x = table[x]
+        power.append(tuple(row))
+    return ConjugacyClasses(group, enumeration, elements, tuple(members),
+                            reps, class_of, tuple(power))
+
+
+def _class_search(enumeration: Enumeration) -> tuple[array, list[array]]:
+    """Each element's class and each class's members, classes numbered
+    in enumeration order of their first element, members in the order
+    the orbit search reached them."""
+    conjugations = [_conjugation(enumeration, h)
+                    for h in range(len(enumeration.right))]
+    class_of = array("i", [-1]) * len(enumeration.ids)
+    members = []
+    for eid in range(len(class_of)):
         if class_of[eid] >= 0:
             continue
         k = len(members)
         class_of[eid] = k
         orbit = [eid]
-        for xid in orbit:
-            x = elements[xid]
-            for g, ginv in gen_invs:
-                yid = ids[tuple(g[x[i]] for i in ginv)]
-                if class_of[yid] < 0:
-                    class_of[yid] = k
-                    orbit.append(yid)
-        members.append(orbit)
-    # the table cap, read before the power maps, which cost one product
-    # per power of each representative
-    if len(members) > caps.TABLE_CLASS_CAP:
-        raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
-    reps = tuple(Perm(elements[orbit[0]]) for orbit in members)
-    # row k lists the classes of rep_k ** 0, 1, ... until the powers
-    # return to the identity, so its length is the order of rep_k
-    power = []
-    for rep in reps:
-        acc = rep.images
-        row = [0]
-        while acc != elements[0]:
-            row.append(class_of[ids[acc]])
-            acc = tuple(map(rep.images.__getitem__, acc))
-        power.append(tuple(row))
-    return ConjugacyClasses(group, ids, elements, tuple(members), reps, class_of, tuple(power))
+        for x in orbit:
+            for conjugate in conjugations:
+                y = conjugate[x]
+                if class_of[y] < 0:
+                    class_of[y] = k
+                    orbit.append(y)
+        members.append(array("i", orbit))
+    return class_of, members
+
+
+def _conjugation(enumeration: Enumeration, h: int) -> array:
+    """The table x -> id(g^-1 * x * g) for the generator g = g_h: its
+    right table read at the left table of g^-1, which follows from the
+    origins, since x = w * g_v gives g^-1 * x = (g^-1 * w) * g_v, w < x."""
+    right = enumeration.right
+    k = len(right)
+    # g^-1 is the power of g that g takes to the identity
+    inverse = right[h][0]
+    while right[h][inverse]:
+        inverse = right[h][inverse]
+    left = array("i", [inverse])
+    for origin in islice(enumeration.origin, 1, None):
+        left.append(right[origin % k][left[origin // k]])
+    return array("i", map(right[h].__getitem__, left))
 
 
 def _is_abelian_chief_order(order: int) -> bool:

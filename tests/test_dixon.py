@@ -1,6 +1,7 @@
 """Exact character tables via eigenvector splitting over F_l."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, dixon_prime
 from vangraph.numth import charpoly, nullspace, poly_roots, rref
-from vangraph.perms import Perm, PermGroup
-from vangraph.structure import conjugacy_classes
+from vangraph.perms import Enumeration, Perm, PermGroup
+from vangraph.structure import ConjugacyClasses, conjugacy_classes
 from vangraph.vanishing import vanishing_class_indices
 
 DEGREES = {
@@ -335,8 +336,7 @@ def test_random_row_splitting_matches_full_matrix_oracle(group):
 
 
 class CountingIds(dict):
-    """An element-id map that counts lookups: each class-matrix entry
-    looks up one product."""
+    """An element-id map that counts lookups."""
 
     def __init__(self, ids):
         super().__init__(ids)
@@ -347,14 +347,46 @@ class CountingIds(dict):
         return super().__getitem__(key)
 
 
-def test_table_products_are_bounded_by_pivot_rows():
+class CountingTable:
+    """A right table that counts its lookups in a shared tally."""
+
+    def __init__(self, table, tally):
+        self.table = table
+        self.tally = tally
+
+    def __getitem__(self, x):
+        self.tally["steps"] += 1
+        return self.table[x]
+
+
+def test_table_products_are_bounded_by_pivot_rows(monkeypatch):
     # whole class matrices took 238,216 products for S8 and 148,064 for
-    # A8; pivot rows, smallest class first, take 931 and 33,480
+    # A8; pivot rows, smallest class first, take 931 and 33,480.  Each
+    # product y * rep_r is one table step per letter of rep_r's word,
+    # and no row looks up an image tuple.
+    rows = []
+    row = ConjugacyClasses.class_matrix_row
+
+    def recorded(self, i, r):
+        rows.append((i, r))
+        return row(self, i, r)
+
+    monkeypatch.setattr(ConjugacyClasses, "class_matrix_row", recorded)
     for spec, bound in (("S8", 5_000), ("A8", 50_000)):
         cls = conjugacy_classes(catalog.catalog_group(spec))
-        counted = dataclasses.replace(cls, ids=CountingIds(cls.ids))
+        tally = Counter()
+        enumeration = Enumeration(
+            CountingIds(cls.enumeration.ids),
+            tuple(CountingTable(t, tally) for t in cls.enumeration.right),
+            cls.enumeration.origin)
+        counted = dataclasses.replace(cls, enumeration=enumeration)
+        rows.clear()
         t = character_table(counted)
-        assert 0 < counted.ids.lookups <= bound, (spec, counted.ids.lookups)
+        products = sum(cls.sizes[i] for i, _ in rows)
+        words = [len(cls.enumeration.word(ys[0])) for ys in cls.members]
+        assert 0 < products <= bound, (spec, products)
+        assert tally["steps"] == sum(cls.sizes[i] * words[r] for i, r in rows)
+        assert enumeration.ids.lookups == 0
         assert t.degrees == character_table(cls).degrees
 
 

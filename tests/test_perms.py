@@ -129,11 +129,44 @@ def test_enumeration_ids_and_cap(monkeypatch):
 
 
 def test_enumeration_certifies_the_chain_order():
-    # a doctored chain order: the enumeration finds 24 elements
+    # doctored chain orders: the enumeration finds 24 elements
     s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
     s4.__dict__["order"] = 23
-    with pytest.raises(ArithmeticError, match="24 elements, chain order 23"):
+    with pytest.raises(ArithmeticError,
+                       match="more elements than the chain order 23"):
         s4.element_ids()
+    s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
+    s4.__dict__["order"] = 25
+    with pytest.raises(ArithmeticError, match="24 elements, chain order 25"):
+        s4.element_ids()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=1, max_size=3)))
+def test_enumeration_tables_and_words(gens):
+    g = PermGroup([Perm(tuple(im)) for im in gens], degree=len(gens[0]))
+    enumeration = g.enumeration()
+    elems = g.elements()
+    for h, gen in enumerate(g.generators):
+        assert [elems[y] for y in enumeration.right[h]] == \
+            [x * gen for x in elems]
+    # the products x * g_h in the order the search formed them
+    products = [table[x] for x in range(len(elems))
+                for table in enumeration.right]
+    for x, elem in enumerate(elems):
+        word = enumeration.word(x)
+        product = Perm.identity(g.degree)
+        for h in word:
+            product = product * g.generators[h]
+        assert product == elem
+        y = 0
+        for table in enumeration.steps(x):
+            y = table[y]
+        assert y == x
+        if x:
+            assert products.index(x) == enumeration.origin[x] \
+                < x * len(g.generators)
 
 
 def test_order_divides_degree_factorial():

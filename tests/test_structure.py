@@ -1,8 +1,10 @@
 """Conjugacy classes, normal structure, solvability machinery."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from vangraph.caps import CapExceeded
 from vangraph.dixon import character_table
 from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
-from vangraph.perms import PermGroup, normal_closure, parse_cycles
+from vangraph.perms import PermGroup, _inverse, normal_closure, parse_cycles
 from vangraph.structure import (GroupStructure, conjugacy_classes,
                                 joint_stabilizer_index, separating_subsets)
 
@@ -90,6 +92,86 @@ def test_power_and_inverse_class_maps():
         assert cls.power_class(j, 1) == j
     # real group: every class is its own inverse class
     assert all(cls.inverse_class(j) == j for j in range(cls.count))
+
+
+def tuple_classes(group):
+    """The class data computed on image tuples, the reference for the
+    id tables: the breadth-first enumeration, the class search by
+    conjugating tuples, the power maps by tuple products, and every
+    class-matrix row.  Returns (ids, members, reps, power, rows), where rows[r][i]
+    is row r of M_i: entry c counts the y in the inverse class of i
+    with y * rep_r in class c."""
+    ids = {tuple(range(group.degree)): 0}
+    frontier = list(ids)
+    gens = [g.images for g in group.generators]
+    for e in frontier:
+        for g in gens:
+            f = tuple(map(g.__getitem__, e))
+            if f not in ids:
+                ids[f] = len(ids)
+                frontier.append(f)
+    class_of = [-1] * len(ids)
+    members = []
+    # on image tuples, g^-1 * x * g maps i to g[x[g^-1[i]]]
+    gen_invs = [(g, _inverse(g)) for g in gens]
+    for eid in range(len(frontier)):
+        if class_of[eid] >= 0:
+            continue
+        class_of[eid] = len(members)
+        orbit = [eid]
+        for xid in orbit:
+            x = frontier[xid]
+            for g, ginv in gen_invs:
+                yid = ids[tuple(g[x[i]] for i in ginv)]
+                if class_of[yid] < 0:
+                    class_of[yid] = len(members)
+                    orbit.append(yid)
+        members.append(orbit)
+    reps = [frontier[orbit[0]] for orbit in members]
+    power = []
+    for rep in reps:
+        acc, row = rep, [0]
+        while acc != frontier[0]:
+            row.append(class_of[ids[acc]])
+            acc = tuple(map(rep.__getitem__, acc))
+        power.append(tuple(row))
+    # y * rep maps i to rep[y[i]], so it is itemgetter(*y)(rep), a
+    # tuple whenever the degree is at least 2
+    times = [itemgetter(*y) for y in frontier] if group.degree > 1 \
+        else [tuple]
+    k = len(members)
+    rows = []
+    for rep in reps:
+        counts = Counter(zip(class_of, (class_of[ids[y_times(rep)]]
+                                        for y_times in times)))
+        rows.append([[counts[power[i][-1], c] for c in range(k)]
+                     for i in range(k)])
+    return ids, members, reps, power, rows
+
+
+def assert_matches_tuple_classes(cls):
+    ids, members, reps, power, rows = tuple_classes(cls.group)
+    assert list(cls.enumeration.ids.items()) == list(ids.items())
+    assert [list(ys) for ys in cls.members] == members
+    assert [rep.images for rep in cls.reps] == reps
+    assert [[cls.power_class(j, e) for e in range(len(row))]
+            for j, row in enumerate(power)] == list(map(list, power))
+    assert cls.orders == tuple(map(len, power))
+    assert [[cls.class_matrix_row(i, r) for i in range(cls.count)]
+            for r in range(cls.count)] == rows
+
+
+def test_classes_match_the_tuple_oracle(analyses):
+    for spec in DEFAULT_CORPUS + ("S7", "A8", "S8"):
+        assert_matches_tuple_classes(analyses(spec).classes)
+    for spec in ("PSL(2,29)", "PSL(2,31)"):
+        assert_matches_tuple_classes(conjugacy_classes(grp(spec)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_generator_groups)
+def test_random_classes_match_the_tuple_oracle(group):
+    assert_matches_tuple_classes(conjugacy_classes(group))
 
 
 def structure(spec):
@@ -249,7 +331,8 @@ def brute_derived_series(group):
 def test_derived_series_matches_brute_force(group):
     gs = GroupStructure(character_table(conjugacy_classes(group)))
     classes = gs.classes
-    want = [frozenset(classes.class_of_element[classes.ids[x]] for x in term)
+    want = [frozenset(classes.class_of_element[classes.enumeration.ids[x]]
+                      for x in term)
             for term in brute_derived_series(group)]
     assert list(gs.derived_series) == want
 
