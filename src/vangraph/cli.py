@@ -4,10 +4,10 @@ Subcommands: analyze (full report for one group), check (theorem
 verdicts only), corpus (batch run with the exit-code contract),
 symchar (one character value), modorbit (zero-sum module census),
 sepsets (separating point subsets).  Exit codes: 0 clean, 1 a check
-FAILed, 2 unusable input, a cap hit or memory run out, 3 an internal
-consistency check failed (a bug, never a verdict).  In corpus a capped
-group is not an exit-2 error: its report marks every requested check
-INDETERMINATE and the run goes on.
+FAILed, 2 unusable input, a cap hit, memory run out or a dead corpus
+worker, 3 an internal consistency check failed (a bug, never a
+verdict).  In corpus a capped group is not an exit-2 error: its report
+marks every requested check INDETERMINATE and the run goes on.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import sys
 from .caps import CapExceeded
 from .catalog import SpecError, catalog_group
 from .deleted import census_csv, distinct_coordinate_vector, orbit_census
-from .harness import (FAIL, analyze, check_theorems, corpus_run,
-                      load_corpus_config, report_dict)
+from .harness import (FAIL, WorkerDied, analyze, check_theorems,
+                      corpus_run, load_corpus_config, report_dict)
 from .structure import (SeparationAnomaly, joint_stabilizer_index,
                         separating_subsets)
 from .symchar import mn_value
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

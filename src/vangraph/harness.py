@@ -466,6 +466,11 @@ def _corpus_worker(args) -> dict:
     return report_dict(analysis, verdicts)
 
 
+class WorkerDied(RuntimeError):
+    """A corpus worker process ended without returning its report, as
+    when the operating system kills it for want of memory."""
+
+
 @dataclass(frozen=True)
 class CorpusResult:
     reports: tuple[dict, ...]
@@ -539,8 +544,15 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
     if workers > 1:
         # imported here: it loads multiprocessing, costly at start-up
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_corpus_worker, args))
+        from concurrent.futures.process import BrokenProcessPool
+        reports = []
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for report in pool.map(_corpus_worker, args):
+                    reports.append(report)
+        except BrokenProcessPool:
+            raise WorkerDied("a corpus worker died before reporting"
+                             f" {ordered[len(reports)]}") from None
     else:
         reports = [_corpus_worker(a) for a in args]
     counts = {PASS: 0, FAIL: 0, VACUOUS: 0, INDETERMINATE: 0}

@@ -11,8 +11,11 @@ Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 the same convention.  Points are 0-based in memory; every piece of text
 I/O (cycle strings, generator files) is 1-based.  On image tuples,
 ``a * b`` is the one C call ``itemgetter(*a)(b)``, which builds
-``(b[a[0]], b[a[1]], ...)``; the enumeration and the Schreier-Sims walk
-compose this way.
+``(b[a[0]], b[a[1]], ...)``; the Schreier-Sims walk composes this way.
+Up to degree 256 a point fits one byte, so the enumeration keys each
+element by its image bytes and ``a * b`` is the one C call
+``a.translate(b)``, with b padded to the 256-byte table translate reads;
+above 256 points it keys by image tuples and composes with itemgetter.
 
 The Schreier-Sims construction is fully deterministic: no randomized
 sifting, base points are chosen as the smallest moved points, and orbits
@@ -27,7 +30,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import caps
 
@@ -264,30 +267,45 @@ def _schreier_sims(gens, degree, conjugators=()):
     return tuple(chain)
 
 
+def _key(images) -> bytes | tuple[int, ...]:
+    """An element's key in ``Enumeration.ids``: its image bytes when the
+    degree is at most 256, so that every point fits one byte, else its
+    image tuple.  Keys of one degree are always of one type."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
 class Enumeration:
     """A group's elements as ids 0..|G|-1, numbered by one breadth-first
     search over the generators g_0, ..., g_(k-1), identity first.
 
-    ``ids`` maps each element's image tuple to its id, in id order.
-    ``right[h][x]`` is the id of x * g_h, so a product with a generator
-    is one table lookup.  The search forms the products x * g_0, ...,
-    x * g_(k-1) for x = 0, 1, ... in turn, so x * g_h is product number
-    x * k + h, and ``origin[x]`` is the number of the product that
-    first reached x: x = w * g_h for (w, h) = divmod(origin[x], k),
-    with w < x (``origin[0]`` is unused).  Following these parents back
-    to the identity spells x as a word in the generators, so y * x is
-    |word(x)| lookups for any y.  The tables are ``array('i')``, four
-    bytes an entry; a product number is below the k * |G| entries of
-    the right tables, so it fits one.
+    ``ids`` maps each element's key to its id, in id order.  The key is
+    the element's image bytes up to degree 256 (33 + degree bytes, and
+    x * g is one ``bytes.translate``) and its image tuple above that;
+    ``tuple(key)`` is the image tuple either way, and ``id_of`` looks an
+    image tuple up.  ``right[h][x]`` is the id of x * g_h, so a product
+    with a generator is one table lookup.  The search forms the products
+    x * g_0, ..., x * g_(k-1) for x = 0, 1, ... in turn, so x * g_h is
+    product number x * k + h, and ``origin[x]`` is the number of the
+    product that first reached x: x = w * g_h for (w, h) =
+    divmod(origin[x], k), with w < x (``origin[0]`` is unused).
+    Following these parents back to the identity spells x as a word in
+    the generators, so y * x is |word(x)| lookups for any y.  The tables
+    are ``array('i')``, four bytes an entry; a product number is below
+    the k * |G| entries of the right tables, so it fits one.
     """
 
     __slots__ = ("ids", "right", "origin")
 
-    def __init__(self, ids: dict[tuple[int, ...], int],
+    def __init__(self, ids: dict[bytes | tuple[int, ...], int],
                  right: tuple[array, ...], origin: array):
         self.ids = ids
         self.right = right
         self.origin = origin
+
+    def id_of(self, images: tuple[int, ...]) -> int:
+        """The id of the element with these images; KeyError when the
+        group has no such element, also for images of another degree."""
+        return self.ids[_key(images)]
 
     def word(self, x: int) -> list[int]:
         """Generator indices h_1, ..., h_m with x = g_h1 * ... * g_hm,
@@ -358,18 +376,28 @@ class PermGroup:
         # first element past it, and the count is checked after it
         n = self.order
         k = len(self.generators)
-        ids = {tuple(range(self.degree)): 0}
+        identity = _key(range(self.degree))
+        ids = {identity: 0}
         setdefault = ids.setdefault
-        frontier = list(ids)
+        frontier = [identity]
         right = tuple(array("i", [0]) * n for _ in range(k))
         origin = array("i", [0]) * n
-        gens = [(h, g.images, table)
-                for h, (g, table) in enumerate(zip(self.generators, right))]
-        # a group with a generator has degree >= 2, so image(g) below is
-        # a tuple; a group without one is its identity alone
-        for x, e in enumerate(frontier if gens else ()):
+        if type(identity) is bytes:
+            # e * g is e.translate(g), with g padded to 256 bytes
+            pad = bytes(range(self.degree, 256))
+            images = [bytes(g.images) + pad for g in self.generators]
+            times = attrgetter("translate")
+        else:
+            images = [g.images for g in self.generators]
+
+            def times(e):
+                # e has 257 points or more, so this returns a tuple
+                return itemgetter(*e)
+        gens = [(h, g, table)
+                for h, (g, table) in enumerate(zip(images, right))]
+        for x, e in enumerate(frontier):
             # e * g_h for every h, one C call each
-            image = itemgetter(*e)
+            image = times(e)
             for h, g, table in gens:
                 f = image(g)
                 y = setdefault(f, len(frontier))
@@ -396,18 +424,10 @@ class PermGroup:
             raise caps.CapExceeded(f"order {self.order} exceeds enumeration cap {cap}")
         return self._enumeration
 
-    def element_ids(self) -> dict[tuple[int, ...], int]:
-        """Image tuple -> element id for every element; the ids are
-        0..|G|-1 in deterministic breadth-first order (identity first),
-        which is also the dict's order.  Do not mutate the result.  The
-        ids are those of ``enumeration()``, whose tables spell every
-        element as a word in the generators.
-        Refuses and raises as ``enumeration`` does."""
-        return self.enumeration().ids
-
     def elements(self) -> tuple[Perm, ...]:
-        """All elements as Perm values, in element id order."""
-        return tuple(map(Perm, self.element_ids()))
+        """All elements as Perm values, in element id order (identity
+        first).  Refuses and raises as ``enumeration`` does."""
+        return tuple(Perm(tuple(key)) for key in self.enumeration().ids)
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"

@@ -36,8 +36,9 @@ class ConjugacyClasses:
     """Conjugacy classes of a fully enumerated permutation group.
 
     ``enumeration`` holds the element ids, the generators' right tables
-    and each element's word; ``elements[id]`` is the element's image
-    tuple (the id dict's own key) and ``class_of_element[id]`` its
+    and each element's word; ``elements[id]`` is the element's key in
+    the id dict (image bytes up to degree 256, else the image tuple;
+    ``tuple`` of it is the image tuple) and ``class_of_element[id]`` its
     class.  ``members[k]`` holds the ids of class k as the class search
     reached them, ``sizes[k]`` is their count, and ``reps[k]``, the
     element at ``members[k][0]``, is the first of class k in enumeration
@@ -45,12 +46,12 @@ class ConjugacyClasses:
     the class of rep_k ** e for any integer e, and ``orders[k]`` the
     order of rep_k.  The class search, the power maps and the
     class-matrix rows step through the right tables on ids and build no
-    image tuple; only the commuting test multiplies image tuples.
+    element; only the commuting test multiplies elements.
     """
 
     group: PermGroup
     enumeration: Enumeration
-    elements: list[tuple[int, ...]]
+    elements: list[bytes | tuple[int, ...]]
     members: tuple[array, ...]
     reps: tuple[Perm, ...]
     class_of_element: array
@@ -62,7 +63,7 @@ class ConjugacyClasses:
 
     def class_of(self, g: Perm) -> int:
         try:
-            return self.class_of_element[self.enumeration.ids[g.images]]
+            return self.class_of_element[self.enumeration.id_of(g.images)]
         except KeyError:
             raise ValueError("element not in group") from None
 
@@ -128,7 +129,7 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     if len(members) > caps.TABLE_CLASS_CAP:
         raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
     elements = list(enumeration.ids)
-    reps = tuple(Perm(elements[ys[0]]) for ys in members)
+    reps = tuple(Perm(tuple(elements[ys[0]])) for ys in members)
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
     # return to the identity, so its length is the order of rep_k
     power = []

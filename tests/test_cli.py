@@ -1,7 +1,10 @@
 """Command-line interface contract."""
 
+import concurrent.futures
+import functools
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -128,6 +131,33 @@ def test_corpus_capped_group_is_indeterminate(capsys, tmp_path):
     assert s3 == alone.reports[0]
     assert "INDETERMINATE=9" in err
     assert "FAIL=0" in err
+
+
+_corpus_worker = harness._corpus_worker
+
+
+def _dies_on_a4(args):
+    """A corpus worker whose process ends, as when the out-of-memory
+    killer takes it, for the first of the groups below."""
+    if args[0] == "A4":
+        os._exit(9)
+    return _corpus_worker(args)
+
+
+def test_corpus_dead_worker_exits_2(capsys, monkeypatch, tmp_path):
+    # a real pool under the fork start method, so the workers inherit
+    # the patched worker function
+    monkeypatch.setattr(harness, "_corpus_worker", _dies_on_a4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(
+                            concurrent.futures.ProcessPoolExecutor,
+                            mp_context=multiprocessing.get_context("fork")))
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({"groups": ["S3", "A4", "C4"]}))
+    code, out, err = run(capsys, "corpus", "--config", str(config),
+                         "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: a corpus worker died before reporting A4\n"
 
 
 def test_corpus_bad_config_exits_2(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,23 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 COVERAGE_CONFIG = REPO_ROOT / "corpora" / "coverage.json"
 
 
+def test_a5_on_300_points_matches_a5(analyses, tmp_path):
+    # above 256 points the enumeration keys elements by image tuples;
+    # A5 on the points 296..300 keeps A5's table and verdicts
+    path = tmp_path / "a5.grp"
+    path.write_text("degree: 300\n(296 297 298)\n(296 297 298 299 300)\n")
+    wide, a5 = harness.analyze(f"file:{path}"), analyses("A5")
+    assert (wide.group.degree, wide.group.order) == (300, 60)
+
+    def table_key(t):
+        return t.modulus, [[c.key() for c in row] for row in t.values]
+
+    assert wide.table.degrees == a5.table.degrees == (1, 3, 3, 4, 5)
+    assert table_key(wide.table) == table_key(a5.table)
+    assert [(v.check, v.status) for v in check_theorems(wide)] == \
+        [(v.check, v.status) for v in check_theorems(a5)]
+
+
 def test_solvability_checks_pass_past_their_hypotheses(monkeypatch):
     # corpora/f11_5.grp is F(11,5) = C11 x| C5, as x -> x + 1 and
     # x -> 3x on the residues mod 11.  PSL(2,7) is a nonabelian minimal
@@ -310,6 +328,32 @@ def test_corpus_pool_never_exceeds_groups(monkeypatch):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             corpus_run(["S3"], jobs=jobs)
     assert asked == [2, 2]
+
+
+def test_dead_worker_names_the_first_group_without_report(monkeypatch):
+    class BreakingPool:
+        """Stands in for ProcessPoolExecutor: maps in this process and
+        breaks after two reports, as a pool does when a worker dies."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            yield from map(fn, args[:2])
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        BreakingPool)
+    # run in name order: A4 and C2 report, C3 is the first without one
+    with pytest.raises(harness.WorkerDied,
+                       match=r"^a corpus worker died before reporting C3$"):
+        corpus_run(["S3", "C3", "A4", "C2"], jobs=2)
 
 
 def test_corpus_bad_spec_raises_before_work():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -117,16 +118,18 @@ def test_membership():
 
 def test_enumeration_ids_and_cap(monkeypatch):
     s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
-    ids = s4.element_ids()
+    enumeration = s4.enumeration()
+    ids = enumeration.ids
     assert list(ids.values()) == list(range(24))
-    assert next(iter(ids)) == tuple(range(4))
+    assert next(iter(ids)) == bytes(range(4))
     elems = s4.elements()
     assert len(set(elems)) == 24
-    assert [g.images for g in elems] == list(ids)
+    assert [g.images for g in elems] == list(map(tuple, ids))
+    assert [enumeration.id_of(g.images) for g in elems] == list(range(24))
     assert all(g in s4 for g in elems)
     monkeypatch.setenv("VG_ENUM_CAP", "10")
     with pytest.raises(CapExceeded):
-        s4.element_ids()
+        s4.enumeration()
     with pytest.raises(CapExceeded):
         s4.elements()
 
@@ -137,11 +140,11 @@ def test_enumeration_certifies_the_chain_order():
     s4.__dict__["order"] = 23
     with pytest.raises(ArithmeticError,
                        match="more elements than the chain order 23"):
-        s4.element_ids()
+        s4.enumeration()
     s4 = PermGroup([p("(1 2)", 4), p("(1 2 3 4)", 4)])
     s4.__dict__["order"] = 25
     with pytest.raises(ArithmeticError, match="24 elements, chain order 25"):
-        s4.element_ids()
+        s4.enumeration()
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,11 +180,12 @@ def test_groups_of_degree_at_most_two():
     # 1-tuple, and with none it raises; degrees 0 and 1 have no
     # permutation but the identity, so no such product is ever formed
     empty = PermGroup([], degree=0)
-    assert list(empty.element_ids()) == [()]
+    assert list(empty.enumeration().ids) == [b""]
+    assert empty.elements() == (Perm(()),)
     assert conjugacy_classes(empty).noncommuting_connected(0)
     for group in (PermGroup([], degree=1), cyclic_group(1),
                   symmetric_group(1)):
-        assert list(group.element_ids()) == [(0,)]
+        assert list(group.enumeration().ids) == [b"\x00"]
         assert group.elements() == (Perm.identity(1),)
         assert Perm.identity(1) in group
     trivial = PermGroup([], degree=1)
@@ -193,7 +197,8 @@ def test_groups_of_degree_at_most_two():
     # degree 2: the smallest where the products run
     swap = Perm((1, 0))
     for group in (cyclic_group(2), symmetric_group(2)):
-        assert list(group.element_ids()) == [(0, 1), (1, 0)]
+        assert list(group.enumeration().ids) == [b"\x00\x01", b"\x01\x00"]
+        assert group.elements() == (Perm.identity(2), swap)
         assert swap in group
         assert _sift(group._chain, (1, 0), 0) == ((0, 1), 1)
         assert _sift(group._chain, (0, 1), 0) == ((0, 1), 1)
@@ -310,9 +315,72 @@ def test_chain_matches_enumeration(case):
     # independent derivations of the same group
     gens, xs = case
     g = PermGroup([Perm(tuple(im)) for im in gens], degree=len(gens[0]))
-    ids = g.element_ids()
+    enumeration = g.enumeration()
+    ids = enumeration.ids
     assert g.order == len(ids)
-    assert all(Perm(e) in g for e in list(ids)[-5:])
+    assert all(Perm(tuple(e)) in g for e in list(ids)[-5:])
+    keys = list(ids)
     for images in xs:
         x = Perm(tuple(images))
-        assert (x in g) == (x.images in ids)
+        assert (x in g) == (bytes(x.images) in ids)
+        if x in g:
+            assert tuple(keys[enumeration.id_of(x.images)]) == x.images
+
+
+def tuple_enumeration(group):
+    """The breadth-first enumeration on image tuples, the reference for
+    both key types: (ids, right, origin), ids mapping image tuples."""
+    ids = {tuple(range(group.degree)): 0}
+    frontier = list(ids)
+    k = len(group.generators)
+    right = [[] for _ in range(k)]
+    origin = [0]
+    for x, e in enumerate(frontier):
+        for h, g in enumerate(group.generators):
+            f = tuple(g.images[i] for i in e)
+            if f not in ids:
+                ids[f] = len(frontier)
+                frontier.append(f)
+                origin.append(x * k + h)
+            right[h].append(ids[f])
+    return ids, right, origin
+
+
+def padded(group, degree, offset):
+    return PermGroup([g.embed(degree, offset) for g in group.generators],
+                     degree=degree)
+
+
+@pytest.mark.parametrize("group, key", [
+    (cyclic_group(256), bytes),
+    (padded(symmetric_group(4), 256, 252), bytes),
+    (cyclic_group(257), tuple),
+    (padded(symmetric_group(4), 300, 290), tuple),
+], ids=["C256", "S4 on 256 points", "C257", "S4 on 300 points"])
+def test_both_key_types_match_the_tuple_oracle(group, key):
+    # up to 256 points an element is keyed by its image bytes, above
+    # that by its image tuple; ids, tables and origins are the same
+    enumeration = group.enumeration()
+    ids, right, origin = tuple_enumeration(group)
+    assert {type(e) for e in enumeration.ids} == {key}
+    assert [(tuple(e), x) for e, x in enumeration.ids.items()] == \
+        list(ids.items())
+    assert list(map(list, enumeration.right)) == right
+    assert list(enumeration.origin) == origin
+    assert [enumeration.id_of(e) for e in ids] == list(range(len(ids)))
+    assert [g.images for g in group.elements()] == list(ids)
+
+
+def test_enumeration_memory_stays_on_bytes_keys():
+    # the tracemalloc peak of PSL(2,31)'s enumeration (order 14,880,
+    # degree 32) is about 5.4 MiB with image-tuple keys and 2.2 MiB
+    # with image-bytes keys
+    group = catalog_group("PSL(2,31)")
+    assert group.order == 14880
+    tracemalloc.start()
+    try:
+        group.enumeration()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2 ** 20, peak

@@ -17,7 +17,8 @@ from vangraph.caps import CapExceeded
 from vangraph.dixon import character_table
 from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
-from vangraph.perms import PermGroup, _inverse, normal_closure, parse_cycles
+from vangraph.perms import (Perm, PermGroup, _inverse, normal_closure,
+                            parse_cycles)
 from vangraph.structure import (GroupStructure, conjugacy_classes,
                                 joint_stabilizer_index, separating_subsets)
 
@@ -56,9 +57,20 @@ def test_class_zero_is_identity_and_equation_holds():
 
 
 def test_class_of_rejects_elements_outside_group():
-    cls = conjugacy_classes(grp("A4"))
-    with pytest.raises(ValueError, match="not in group"):
-        cls.class_of(parse_cycles("(1 2)", 4))
+    # A4 keys its elements by image bytes, and on 300 points by image
+    # tuples; neither takes a permutation of another degree
+    a4 = grp("A4")
+    wide = PermGroup([g.embed(300, 290) for g in a4.generators])
+    for group, outside in (
+            (a4, [parse_cycles("(1 2)", 4), Perm.identity(3),
+                  Perm.identity(5), Perm.identity(300)]),
+            (wide, [parse_cycles("(291 292)", 300), Perm.identity(4),
+                    Perm.identity(257), Perm.identity(301)])):
+        cls = conjugacy_classes(group)
+        assert cls.class_of(Perm.identity(group.degree)) == 0
+        for x in outside:
+            with pytest.raises(ValueError, match="^element not in group$"):
+                cls.class_of(x)
 
 
 def test_class_of_is_conjugation_invariant():
@@ -151,7 +163,9 @@ def tuple_classes(group):
 
 def assert_matches_tuple_classes(cls):
     ids, members, reps, power, rows = tuple_classes(cls.group)
-    assert list(cls.enumeration.ids.items()) == list(ids.items())
+    assert [(tuple(key), x) for key, x in cls.enumeration.ids.items()] \
+        == list(ids.items())
+    assert all(cls.enumeration.id_of(e) == x for e, x in ids.items())
     assert [list(ys) for ys in cls.members] == members
     assert [rep.images for rep in cls.reps] == reps
     assert [[cls.power_class(j, e) for e in range(len(row))]
@@ -201,7 +215,7 @@ def test_normal_closure_walk(group, data):
         st.lists(st.integers(0, len(elements) - 1), max_size=3))]
     closure = normal_closure(group, seeds)
     fresh = PermGroup(closure.generators, degree=group.degree)
-    assert closure.order == fresh.order == len(closure.element_ids())
+    assert closure.order == fresh.order == len(closure.enumeration().ids)
     assert all(x in closure for x in seeds)
     for x in closure.generators:
         assert x in group
@@ -307,7 +321,7 @@ def brute_derived_series(group):
             out[j] = i
         return tuple(out)
 
-    term = set(group.element_ids())
+    term = {g.images for g in group.elements()}
     series = [term]
     while True:
         comms = {mul(mul(inv(a), inv(b)), mul(a, b))
@@ -331,7 +345,7 @@ def brute_derived_series(group):
 def test_derived_series_matches_brute_force(group):
     gs = GroupStructure(character_table(conjugacy_classes(group)))
     classes = gs.classes
-    want = [frozenset(classes.class_of_element[classes.enumeration.ids[x]]
+    want = [frozenset(classes.class_of_element[classes.enumeration.id_of(x)]
                       for x in term)
             for term in brute_derived_series(group)]
     assert list(gs.derived_series) == want
