@@ -9,9 +9,13 @@ steps each (Schneider's refinement of Dixon's method) -> the mod-l characters re
 common eigenvectors -> each degree d read off the orthogonality norm:
 d^2 = |G| / norm mod l, and since l > 2 sqrt|G| exactly one d in
 1..sqrt|G| has that square, so a search finds it -> exact lift to
-cyclotomic integers, one class at a time: the inverse discrete Fourier
-transform over the powers of the class representative is built once
-per class and shared by all characters.
+cyclotomic integers: on the smallest class of each rational class, the
+inverse discrete Fourier transform over the powers of the class
+representative, summed by power class once per class and shared by
+all characters; every other class read as a Galois image of it and
+checked against its character value mod l; each distinct value reduced
+once -> Burnside's theorem (every nonlinear irreducible character
+vanishes somewhere) checked on the lifted rows.
 
 Every step is integer arithmetic; the final table is exact by
 construction and is re-checked against the orthogonality relations in
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
@@ -94,32 +99,72 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
     if any(any(sums[:-1]) for sums in gram):
         raise ArithmeticError("rows fail the orthogonality relation mod l")
 
-    # chi(rep_j) = sum_t mult_t zeta_m^t, m = |rep_j|, and mult_t =
-    # m^-1 sum_s chi(rep_j^s) w^-ts mod l for w of order m: one inverse
-    # DFT matrix per class, shared by every character
-    root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
-    rows = [[] for _ in degrees]
-    for j, m in enumerate(classes.orders):
-        columns = [classes.power_class(j, s) for s in range(m)]
-        powers = [pow(root_e, exponent // m * t, ell) for t in range(m)]
-        m_inv = pow(m, -1, ell)
-        dft = [[m_inv * powers[-t * s % m] % ell for s in range(m)]
-               for t in range(m)]
-        for d, ratio, row in zip(degrees, ratios, rows):
-            theta = [d * ratio[c] for c in columns]
-            mults = [sum(a * b for a, b in zip(coeffs, theta)) % ell
-                     for coeffs in dft]
-            if max(mults) > d:
-                raise ArithmeticError("cyclotomic lift produced an invalid multiplicity")
-            if sum(mults) != d:
-                raise ArithmeticError("lifted multiplicities do not sum to the degree")
-            row.append(Cyc.make(m, tuple(mults)))
+    rows = _lift(classes, ell, exponent, degrees, ratios)
+    # Burnside: every nonlinear irreducible character vanishes somewhere
+    if any(d > 1 and not any(v.is_zero() for v in row)
+           for d, row in zip(degrees, rows)):
+        raise ArithmeticError("a nonlinear character has no zero")
 
     order_key = sorted(range(k), key=lambda r: (degrees[r],
                                                 tuple(c.key() for c in rows[r])))
     degrees = tuple(degrees[r] for r in order_key)
     values = tuple(tuple(rows[r]) for r in order_key)
     return CharacterTable(classes, degrees, values, ell)
+
+
+def _lift(classes: ConjugacyClasses, ell: int, exponent: int,
+          degrees: list[int], ratios: list[list[int]]) -> list[list[Cyc]]:
+    """Each character's values in Z[zeta_m], one row per character.
+
+    chi(rep_j) = sum_t mult_t zeta_m^t for m = |rep_j|, and mult_t =
+    m^-1 sum_s chi(rep_j^s) w^-ts mod l, w of order m.  chi(rep_j^s)
+    takes one value per power class c, so mult_t = sum_c chi(c) A_c[t]
+    with A_c[t] = m^-1 sum_{s: rep_j^s in c} w^-ts, built once per
+    leader of a rational class and shared by every character: m times
+    the number of power classes per character.  A class j = i^s of a
+    leader i is a Galois image, mult_j[t s mod m] = mult_i[t], checked
+    forward against chi(rep_j) mod l.  Each distinct value is reduced
+    once.
+    """
+    root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
+    rows = [[] for _ in degrees]
+    lifted = {}
+    reduced = {}
+    for j, (i, s) in enumerate(classes.rational_classes):
+        m = classes.orders[j]
+        powers = [pow(root_e, exponent // m * t, ell) for t in range(m)]
+        if i == j:
+            groups = {}
+            for e in range(m):
+                groups.setdefault(classes.power_class(j, e), []).append(e)
+            m_inv = pow(m, -1, ell)
+            coeffs = [[m_inv * sum(powers[-t * e % m] for e in es) % ell
+                       for es in groups.values()] for t in range(m)]
+            lifted[j] = column = []
+            for d, ratio in zip(degrees, ratios):
+                theta = [d * ratio[c] for c in groups]
+                mults = tuple([sum(map(mul, a, theta)) % ell for a in coeffs])
+                if max(mults) > d:
+                    raise ArithmeticError("cyclotomic lift produced an invalid multiplicity")
+                if sum(mults) != d:
+                    raise ArithmeticError("lifted multiplicities do not sum to the degree")
+                column.append(mults)
+        else:
+            targets = [t * s % m for t in range(m)]
+            column = []
+            for d, ratio, source in zip(degrees, ratios, lifted[i]):
+                image = [0] * m
+                for t, c in zip(targets, source):
+                    image[t] = c
+                if sum(map(mul, image, powers)) % ell != d * ratio[j] % ell:
+                    raise ArithmeticError("Galois image of a lifted class does not give its character value")
+                column.append(tuple(image))
+        for row, mults in zip(rows, column):
+            value = reduced.get((m, mults))
+            if value is None:
+                value = reduced[m, mults] = Cyc.make(m, mults)
+            row.append(value)
+    return rows
 
 
 def _eigenlines(classes: ConjugacyClasses, ell: int) -> list[list[int]]:

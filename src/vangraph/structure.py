@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -44,9 +44,11 @@ class ConjugacyClasses:
     element at ``members[k][0]``, is the first of class k in enumeration
     order; class 0 is the identity class.  ``power_class(k, e)`` gives
     the class of rep_k ** e for any integer e, and ``orders[k]`` the
-    order of rep_k.  The class search, the power maps and the
-    class-matrix rows step through the right tables on ids and build no
-    element; only the commuting test multiplies elements.
+    order of rep_k.  ``rational_classes[k]`` is ``(i, s)``: class k is
+    the Galois image rep_i ** s, s prime to the order, of the smallest
+    class i of its rational class.  The class search, the power maps
+    and the class-matrix rows step through the right tables on ids and
+    build no element; only the commuting test multiplies elements.
     """
 
     group: PermGroup
@@ -82,6 +84,24 @@ class ConjugacyClasses:
     def orders(self) -> tuple[int, ...]:
         """The element order of each class: the period of its power map."""
         return tuple(map(len, self._power))
+
+    @cached_property
+    def rational_classes(self) -> tuple[tuple[int, int], ...]:
+        """For each class j, ``(i, s)``: i is the smallest class of j's
+        rational class (the classes of rep_j ** s for s prime to m =
+        |rep_j|), and s is the smallest exponent prime to m with
+        ``power_class(i, s) == j``.  A leader reads ``(j, 1)``.  Read off
+        the power maps only."""
+        out = [None] * self.count
+        for i, row in enumerate(self._power):
+            if out[i] is not None:
+                continue
+            out[i] = (i, 1)
+            m = len(row)
+            for s in range(2, m):
+                if out[row[s]] is None and gcd(s, m) == 1:
+                    out[row[s]] = (i, s)
+        return tuple(out)
 
     @cached_property
     def _rep_steps(self) -> tuple[tuple[array, ...], ...]:

@@ -11,7 +11,8 @@ from test_perms import perm_order
 from vangraph import catalog, dixon
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, dixon_prime
-from vangraph.numth import charpoly, nullspace, poly_roots, rref
+from vangraph.numth import (charpoly, nullspace, poly_roots, primitive_root,
+                            rref)
 from vangraph.perms import Enumeration, Perm, PermGroup
 from vangraph.structure import ConjugacyClasses, conjugacy_classes
 from vangraph.vanishing import vanishing_class_indices
@@ -147,6 +148,82 @@ def test_lift_certificate_raises():
             character_table(doctored)
 
 
+def test_galois_image_certificate_raises():
+    # C6: class 5 is rep_1 ** 5, read off class 1 as a Galois image.  A
+    # power map of class 5 that claims order 3 (keeping its inverse
+    # class, so the orthogonality certificate passes) puts that image
+    # at the wrong conductor, and it no longer gives chi(rep_5) mod l
+    cls = conjugacy_classes(catalog.catalog_group("C6"))
+    assert cls.rational_classes[5] == (1, 5)
+    doctored = dataclasses.replace(cls, _power=(*cls._power[:5], (0, 5, 1)))
+    assert doctored.rational_classes[5] == (1, 5)
+    with pytest.raises(ArithmeticError, match="Galois image"):
+        character_table(doctored)
+
+
+def test_burnside_certificate_raises(monkeypatch):
+    # every nonlinear row of A5 vanishes somewhere; reducing each zero
+    # value to 1 leaves the rows of degree 3, 4 and 5 without a zero
+    make = Cyc.make
+
+    def no_zeros(m, raw):
+        value = make(m, raw)
+        return make(m, (1,)) if value.is_zero() else value
+
+    monkeypatch.setattr(Cyc, "make", staticmethod(no_zeros))
+    with pytest.raises(ArithmeticError, match="nonlinear character has no zero"):
+        table_for("A5")
+
+
+def dft_lift(classes, ell, exponent, degrees, ratios):
+    """Reference lift: one m x m inverse DFT over the powers of each
+    class representative, every class and every character on its own,
+    one reduction per value."""
+    root_e = pow(primitive_root(ell), (ell - 1) // exponent, ell)
+    rows = [[] for _ in degrees]
+    for j, m in enumerate(classes.orders):
+        columns = [classes.power_class(j, s) for s in range(m)]
+        powers = [pow(root_e, exponent // m * t, ell) for t in range(m)]
+        m_inv = pow(m, -1, ell)
+        dft = [[m_inv * powers[-t * s % m] % ell for s in range(m)]
+               for t in range(m)]
+        for d, ratio, row in zip(degrees, ratios, rows):
+            theta = [d * ratio[c] for c in columns]
+            mults = [sum(a * b for a, b in zip(coeffs, theta)) % ell
+                     for coeffs in dft]
+            assert max(mults) <= d and sum(mults) == d
+            row.append(Cyc.make(m, tuple(mults)))
+    return rows
+
+
+def table_checked_by_dft_oracle(classes):
+    """The engine's table, after checking that its lift gives the same
+    values as the full inverse DFT from the same degrees and ratios."""
+    lift = dixon._lift
+    calls = []
+
+    def checked(*args):
+        rows = lift(*args)
+        assert ([[v.key() for v in row] for row in rows]
+                == [[v.key() for v in row] for row in dft_lift(*args)])
+        calls.append(args)
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dixon, "_lift", checked)
+        table = character_table(classes)
+    assert len(calls) == 1
+    return table
+
+
+def test_lift_matches_dft_oracle():
+    # C15: every power its own class; S5 x C7 and C6 x A5: many rational
+    # classes of several power classes each
+    for spec in ("C15", "S5 x C7", "C6 x A5", "PSL(2,13)", "A5 x A5"):
+        table_checked_by_dft_oracle(
+            conjugacy_classes(catalog.catalog_group(spec)))
+
+
 def test_tables_are_deterministic():
     a = table_for("S5")
     b = table_for("S5")
@@ -230,7 +307,7 @@ two_generator_groups = st.integers(1, 6).flatmap(lambda n: st.tuples(
 @settings(max_examples=25, deadline=None)
 @given(two_generator_groups)
 def test_random_two_generator_tables(group):
-    t = character_table(conjugacy_classes(group))
+    t = table_checked_by_dft_oracle(conjugacy_classes(group))
     assert len(t.degrees) == len(t.values) == t.classes.count
     assert all(group.order % d == 0 for d in t.degrees)
     assert sum(d * d for d in t.degrees) == group.order

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 import pytest
@@ -104,6 +104,32 @@ def test_power_and_inverse_class_maps():
         assert cls.power_class(j, 1) == j
     # real group: every class is its own inverse class
     assert all(cls.inverse_class(j) == j for j in range(cls.count))
+
+
+def test_rational_classes_match_brute_force():
+    # j and j' share a rational class iff rep_j' ~ rep_j ** s for some s
+    # prime to m = |rep_j|; A4 on 300 points keys by image tuples
+    a4 = grp("A4")
+    wide = PermGroup([g.embed(300, 290) for g in a4.generators])
+    for group in (grp("S5"), grp("PSL(2,7)"), grp("C12"), grp("C6 x A5"),
+                  wide):
+        cls = conjugacy_classes(group)
+        # galois[j][j'] is the smallest s prime to m with rep_j ** s in j'
+        galois = []
+        for rep, m in zip(cls.reps, cls.orders):
+            images = {}
+            power = Perm.identity(group.degree)
+            for s in range(1, m + 1):
+                power = power * rep
+                if gcd(s, m) == 1:
+                    images.setdefault(cls.class_of(power), s)
+            galois.append(images)
+        for j, images in enumerate(galois):
+            i = min(images)
+            assert galois[i].keys() == images.keys()
+            assert cls.rational_classes[j] == (i, galois[i][j]), j
+            if i == j:
+                assert cls.rational_classes[j] == (j, 1)
 
 
 def tuple_classes(group):
