@@ -5,8 +5,12 @@ Pipeline: simultaneous eigenspace splitting over a prime field F_l
 by class matrices, smallest class first, while a space is still wider
 than a line; a d-dimensional space reads only the d rows of a class
 matrix at its pivot positions, each row |C_i| products of |word| table
-steps each (Schneider's refinement of Dixon's method) -> the mod-l characters read off the
-common eigenvectors -> each degree d read off the orthogonality norm:
+steps each (Schneider's refinement of Dixon's method), and restricts
+the matrix with sums over its free columns only; a scalar restriction
+keeps its space, roots are found once per characteristic polynomial,
+and each eigenspace is row-reduced in its space's d coordinates -> the
+mod-l characters read off the common eigenvectors -> each degree d
+read off the orthogonality norm:
 d^2 = |G| / norm mod l, and since l > 2 sqrt|G| exactly one d in
 1..sqrt|G| has that square, so a search finds it -> exact lift to
 cyclotomic integers: on the smallest class of each rational class, the
@@ -83,8 +87,10 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
     # d^2 = d'^2 mod l are equal; the zero off-diagonal is the certificate.
     # A class and its inverse have one size, so the sums are symmetric
     # in a and b, and row a holds b <= a only, the diagonal last.
-    gram = [[sum(sizes[j] * ra[j] * rb[inv_class[j]] for j in range(k)) % ell
-             for rb in ratios[:a + 1]] for a, ra in enumerate(ratios)]
+    weighted = [list(map(mul, sizes, ra)) for ra in ratios]
+    conjugates = [[rb[j] for j in inv_class] for rb in ratios]
+    gram = [[sum(map(mul, wa, cb)) % ell for cb in conjugates[:a + 1]]
+            for a, wa in enumerate(weighted)]
     max_degree = math.isqrt(order)
     degrees = []
     for sums in gram:
@@ -175,31 +181,58 @@ def _eigenlines(classes: ConjugacyClasses, ell: int) -> list[list[int]]:
     columns P, so b_c is 1 at P[c] and 0 at the other pivots.  Then
     (M b_c)_P is column c of M restricted to W, and a d-dimensional W
     needs only the d rows of M at P (Schneider, J. Symbolic Comput. 9,
-    1990).  Classes are taken smallest first: row r of class i costs
+    1990): rt[a][c] = M[P[a]][P[c]] + sum over the free columns t of
+    M[P[a]][t] b_c[t], which is M[P][P] itself for the first space.
+    Classes are taken smallest first: row r of class i costs
     |C_i| * |word(rep_r)| table steps, and the same rows are needed
-    whichever class comes next.
+    whichever class comes next.  A scalar restriction keeps W whole.
+    Any other must split W into eigenspaces whose dimensions sum to d,
+    or the restriction was not diagonalisable; the roots are found once
+    per distinct characteristic polynomial in a table.  Each eigenspace
+    is row-reduced in W's d coordinates, so by uniqueness of the
+    reduced form its pivots are P[Q] for the coordinate pivots Q, and
+    only its free columns are summed from the basis.
     """
     k = classes.count
     spaces = [(list(range(k)), [[int(a == b) for a in range(k)]
                                 for b in range(k)])]
+    roots_of = {}
 
     def refine(pivots, basis, rows):
-        d = len(basis)
-        rt = [[sum(m * x for m, x in zip(rows[p], b)) % ell for b in basis]
-              for p in pivots]
-        roots = poly_roots(charpoly(rt, ell), ell)
-        if len(roots) <= 1:
+        d = len(pivots)
+        on_pivots = set(pivots)
+        free = [t for t in range(k) if t not in on_pivots]
+        basis_free = [[b[t] for t in free] for b in basis]
+        rt = []
+        for p in pivots:
+            row = rows[p]
+            row_free = [row[t] for t in free]
+            rt.append([(row[q] + sum(map(mul, row_free, b))) % ell
+                       for q, b in zip(pivots, basis_free)])
+        lam = rt[0][0]
+        if rt == [[lam if a == c else 0 for c in range(d)] for a in range(d)]:
             return [(pivots, basis)]
+        poly = charpoly(rt, ell)
+        roots = roots_of.get(poly)
+        if roots is None:
+            roots = roots_of[poly] = poly_roots(poly, ell)
+        columns = list(zip(*basis_free))
         out = []
         covered = 0
         for lam in roots:
-            shifted = [[(rt[a][b] - (lam if a == b else 0)) % ell
-                        for b in range(d)] for a in range(d)]
-            sub = [[sum(c * b[t] for c, b in zip(coords, basis)) % ell
-                    for t in range(k)] for coords in nullspace(shifted, ell)]
-            covered += len(sub)
-            reduced, sub_pivots = rref(sub, ell)
-            out.append((sub_pivots, reduced))
+            shifted = [[(x - lam) % ell if a == c else x
+                        for c, x in enumerate(r)] for a, r in enumerate(rt)]
+            coords, sub_pivots = rref(nullspace(shifted, ell), ell)
+            covered += len(coords)
+            sub = []
+            for r in coords:
+                v = [0] * k
+                for p, x in zip(pivots, r):
+                    v[p] = x
+                for t, column in zip(free, columns):
+                    v[t] = sum(map(mul, r, column)) % ell
+                sub.append(v)
+            out.append(([pivots[q] for q in sub_pivots], sub))
         if covered != d:
             raise ArithmeticError("class matrix restriction was not diagonalisable")
         return out

@@ -2,17 +2,18 @@
 
 import dataclasses
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_perms import perm_order
 
-from vangraph import catalog, dixon
+from vangraph import caps, catalog, dixon
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, dixon_prime
-from vangraph.numth import (charpoly, nullspace, poly_roots, primitive_root,
-                            rref)
+from vangraph.numth import (charpoly, nullspace, poly_mul, poly_roots,
+                            primitive_root, rref)
 from vangraph.perms import Enumeration, Perm, PermGroup
 from vangraph.structure import ConjugacyClasses, conjugacy_classes
 from vangraph.vanishing import vanishing_class_indices
@@ -123,6 +124,58 @@ def test_orthogonality_certificate_raises(monkeypatch):
     monkeypatch.setattr(dixon, "nullspace", repeat_first)
     with pytest.raises(ArithmeticError, match="orthogonality"):
         character_table(conjugacy_classes(catalog.catalog_group("C2")))
+
+
+def test_one_root_non_scalar_restriction_raises(monkeypatch):
+    # a restriction with one eigenvalue is diagonalisable only when it is
+    # scalar; a characteristic polynomial (x - c)^d for S4's first,
+    # non-scalar restriction must reach the diagonalisability certificate
+    # rather than keep the space whole
+    def one_root(mat, ell):
+        assert any(x for a, row in enumerate(mat)
+                   for c, x in enumerate(row) if a != c)
+        return reduce(lambda f, _: poly_mul(f, (-mat[0][0] % ell, 1), ell),
+                      mat, (1,))
+
+    monkeypatch.setattr(dixon, "charpoly", one_root)
+    with pytest.raises(ArithmeticError, match="not diagonalisable"):
+        table_for("S4")
+
+
+def test_one_root_search_per_characteristic_polynomial(monkeypatch):
+    # a space that is already an eigenspace restricts to a scalar, and a
+    # direct product repeats its factors' polynomials: a root search on
+    # every restriction took 6, 31 and 43 searches for these tables
+    searches = []
+
+    def counted(f, p):
+        searches.append(f)
+        return poly_roots(f, p)
+
+    monkeypatch.setattr(dixon, "poly_roots", counted)
+    for spec in ("A5 x A5", "C6 x A5", "S5 x C7"):
+        searches.clear()
+        table_for(spec)
+        assert 0 < len(searches) <= 2, (spec, len(searches))
+        assert len(set(searches)) == len(searches), spec
+
+
+def test_linear_table_past_the_class_cap(monkeypatch):
+    # C11 x C11 has 121 classes, past the table cap, so only here does
+    # splitting run at k > 60.  The group is abelian, so every row has
+    # degree 1 and is a homomorphism into the 11th roots of unity:
+    # chi(rep_a rep_b) = chi(rep_a) chi(rep_b), checked on exponents
+    monkeypatch.setattr(caps, "TABLE_CLASS_CAP", 200)
+    t = table_for("C11 x C11")
+    cls = t.classes
+    assert t.degrees == (1,) * 121 == (1,) * cls.count
+    exponent = {Cyc.make(11, (0,) * e + (1,)).key(): e for e in range(11)}
+    exponent[Cyc.integer(1).key()] = 0
+    products = [(a, b, cls.class_of(x * y))
+                for a, x in enumerate(cls.reps) for b, y in enumerate(cls.reps)]
+    for row in t.values:
+        e = [exponent[v.key()] for v in row]
+        assert all(e[c] == (e[a] + e[b]) % 11 for a, b, c in products)
 
 
 def test_non_square_degree_raises(monkeypatch):
@@ -399,7 +452,7 @@ def oracle_and_engine(classes):
 
 def test_row_splitting_matches_full_matrix_oracle():
     for spec in ("A8", "S8", "S7", "A7", "PSL(2,11)", "PSL(2,13)",
-                 "A5 x A5", "C6 x A5"):
+                 "A5 x A5", "C6 x A5", "S3 x A5", "S5 x C7"):
         oracle, engine = oracle_and_engine(
             conjugacy_classes(catalog.catalog_group(spec)))
         assert oracle == engine, spec
