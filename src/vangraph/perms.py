@@ -1,10 +1,11 @@
 """Permutations of {1..n} and permutation groups with a deterministic
 base-and-strong-generating-set (Schreier-Sims), which also builds
 normal closures, and a breadth-first element enumeration.  The
-enumeration numbers the elements and records, as integer arrays, each
-generator's right-multiplication table on those numbers and the
-product that first reached each element, so every element is a word in
-the generators and a product with it is a walk through the tables.
+enumeration numbers the elements and records each generator's
+right-multiplication table on those numbers, as lists of the id dict's
+own ints, and the product that first reached each element, as an
+integer array, so every element is a word in the generators and a
+product with it is a walk through the tables.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
@@ -289,15 +290,20 @@ class Enumeration:
     product that first reached x: x = w * g_h for (w, h) =
     divmod(origin[x], k), with w < x (``origin[0]`` is unused).
     Following these parents back to the identity spells x as a word in
-    the generators, so y * x is |word(x)| lookups for any y.  The tables
-    are ``array('i')``, four bytes an entry; a product number is below
-    the k * |G| entries of the right tables, so it fits one.
+    the generators, so y * x is |word(x)| lookups for any y.  A right
+    table is a list whose entries are the int objects stored in ``ids``,
+    so reading one copies a reference, where reading an entry above 256
+    from an ``array('i')`` allocates a new int; the cost is 8 bytes an
+    entry instead of 4.  ``origin`` holds product numbers, which no dict
+    shares, so it stays an ``array('i')``, four bytes an entry; a
+    product number is below the k * |G| entries of the right tables, so
+    it fits one.
     """
 
     __slots__ = ("ids", "right", "origin")
 
     def __init__(self, ids: dict[bytes | tuple[int, ...], int],
-                 right: tuple[array, ...], origin: array):
+                 right: tuple[list[int], ...], origin: array):
         self.ids = ids
         self.right = right
         self.origin = origin
@@ -317,9 +323,10 @@ class Enumeration:
         word.reverse()
         return word
 
-    def steps(self, x: int) -> tuple[array, ...]:
+    def steps(self, x: int) -> tuple[list[int], ...]:
         """The right tables along x's word: looked up in turn, they take
-        the id of y to the id of y * x."""
+        the id of y to the id of y * x, each lookup returning one of the
+        ``ids`` dict's own ints."""
         return tuple(self.right[h] for h in self.word(x))
 
 
@@ -380,7 +387,7 @@ class PermGroup:
         ids = {identity: 0}
         setdefault = ids.setdefault
         frontier = [identity]
-        right = tuple(array("i", [0]) * n for _ in range(k))
+        right = tuple([0] * n for _ in range(k))
         origin = array("i", [0]) * n
         if type(identity) is bytes:
             # e * g is e.translate(g), with g padded to 256 bytes
@@ -400,6 +407,7 @@ class PermGroup:
             image = times(e)
             for h, g, table in gens:
                 f = image(g)
+                # y is the int stored in ids, so the tables share it
                 y = setdefault(f, len(frontier))
                 table[x] = y
                 if y == len(frontier):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dixon import class_matrix, two_generator_groups
-from test_perms import perm_order
+from test_perms import padded, perm_order
 
 from vangraph import caps, catalog
 from vangraph.caps import CapExceeded
@@ -19,8 +19,9 @@ from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
 from vangraph.perms import (Perm, PermGroup, _inverse, normal_closure,
                             parse_cycles)
-from vangraph.structure import (GroupStructure, conjugacy_classes,
-                                joint_stabilizer_index, separating_subsets)
+from vangraph.structure import (GroupStructure, _conjugation,
+                                conjugacy_classes, joint_stabilizer_index,
+                                separating_subsets)
 
 
 def grp(spec):
@@ -206,12 +207,33 @@ def test_classes_match_the_tuple_oracle(analyses):
         assert_matches_tuple_classes(analyses(spec).classes)
     for spec in ("PSL(2,29)", "PSL(2,31)"):
         assert_matches_tuple_classes(conjugacy_classes(grp(spec)))
+    # above 256 points the enumeration keys elements by image tuples
+    s5 = padded(grp("S5"), 300, 295)
+    assert type(next(iter(s5.enumeration().ids))) is tuple
+    assert_matches_tuple_classes(conjugacy_classes(s5))
 
 
 @settings(max_examples=40, deadline=None)
 @given(two_generator_groups)
 def test_random_classes_match_the_tuple_oracle(group):
     assert_matches_tuple_classes(conjugacy_classes(group))
+
+
+@pytest.mark.parametrize("group", [
+    grp("S6"), padded(grp("S6"), 300, 294),
+], ids=["S6 on 6 points", "S6 on 300 points"])
+def test_id_tables_hold_the_enumerations_own_ints(group):
+    # reading an id above 256 from an array('i') allocates a new int;
+    # the right and conjugation tables hold the objects in the id dict,
+    # for image-bytes and image-tuple keys alike
+    enumeration = group.enumeration()
+    values = list(enumeration.ids.values())
+    assert len(values) == 720
+    tables = list(enumeration.right) + [
+        _conjugation(enumeration, h) for h in range(len(enumeration.right))]
+    for table in tables:
+        assert len(table) == 720
+        assert all(y is values[y] for y in table)
 
 
 def structure(spec):
