@@ -11,6 +11,7 @@ nothing FAILed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -28,8 +29,20 @@ FAIL = "FAIL"
 VACUOUS = "VACUOUS"
 INDETERMINATE = "INDETERMINATE"
 
-CHECK_IDS = ("CHK-PROP", "CHK-THMA", "CHK-THMB", "CHK-COR", "CHK-L32",
-             "CHK-P34", "CHK-DOLFI", "CHK-CD-A", "CHK-C44")
+# Each check id, in report order, with its function's name, looked up
+# when the check runs so that a patched module attribute takes effect.
+CHECKS = {
+    "CHK-PROP": "check_same_vertices",
+    "CHK-THMA": "check_missing_edge_solvability",
+    "CHK-THMB": "check_trivial_fitting",
+    "CHK-COR": "check_noncomplete_vertex",
+    "CHK-L32": "check_unique_minimal_vertices",
+    "CHK-P34": "check_almost_simple_edges",
+    "CHK-DOLFI": "check_outside_vanishing_primes",
+    "CHK-CD-A": "check_degree_size_pairs",
+    "CHK-C44": "check_chief_factor_vanishing",
+}
+CHECK_IDS = tuple(CHECKS)
 
 DEFAULT_CORPUS = tuple(
     [f"C{n}" for n in range(2, 13)]
@@ -243,7 +256,7 @@ def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     with K, lies in Z(M) = 1."""
     classes = analysis.classes
     p = prime_divisors(analysis.structure.order(m_sub))[0]
-    return all(classes.noncommuting_connected(j)
+    return all(classes.enumeration.noncommuting_connected(classes.members[j])
                for j in m_sub if classes.orders[j] == p)
 
 
@@ -370,45 +383,31 @@ def check_chief_factor_vanishing(analysis: Analysis, config: dict) -> Verdict:
                    f" {m_grp.order // n_grp.order})")
 
 
-def _validate_check_ids(checks) -> None:
-    """Reject unknown check ids; None selects every check."""
-    unknown = set(checks or ()) - set(CHECK_IDS)
+def select_checks(checks=None) -> tuple[str, ...]:
+    """The selected check ids in ``CHECK_IDS`` order; None selects every
+    check.  Raises ValueError on an unknown id."""
+    if checks is None:
+        return CHECK_IDS
+    unknown = set(checks) - CHECKS.keys()
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    return tuple(c for c in CHECK_IDS if c in checks)
 
 
-def check_theorems(analysis: Analysis,
-                   c44_configs=None,
+def check_theorems(analysis: Analysis, c44_configs=None,
                    checks=None) -> tuple[Verdict, ...]:
     if c44_configs is None:
         c44_configs = DEFAULT_C44_CONFIGS
-    _validate_check_ids(checks)
-    wanted = CHECK_IDS if checks is None else set(checks)
     out = []
-    simple_checks = {
-        "CHK-PROP": check_same_vertices,
-        "CHK-THMA": check_missing_edge_solvability,
-        "CHK-THMB": check_trivial_fitting,
-        "CHK-COR": check_noncomplete_vertex,
-        "CHK-L32": check_unique_minimal_vertices,
-        "CHK-P34": check_almost_simple_edges,
-        "CHK-DOLFI": check_outside_vanishing_primes,
-        "CHK-CD-A": check_degree_size_pairs,
-    }
-    for check_id in CHECK_IDS:
-        if check_id not in wanted:
+    for check_id in select_checks(checks):
+        check = globals()[CHECKS[check_id]]
+        if check_id != "CHK-C44":
+            out.append(check(analysis))
             continue
-        if check_id == "CHK-C44":
-            mine = [c for c in c44_configs if c["group"] == analysis.spec]
-            if not mine:
-                out.append(Verdict("CHK-C44", VACUOUS,
-                                   "no chief-factor configuration for"
-                                   " this group"))
-            else:
-                out.extend(check_chief_factor_vanishing(analysis, c)
-                           for c in mine)
-            continue
-        out.append(simple_checks[check_id](analysis))
+        mine = [c for c in c44_configs if c["group"] == analysis.spec]
+        out.extend([check(analysis, c) for c in mine] or [
+            Verdict("CHK-C44", VACUOUS,
+                    "no chief-factor configuration for this group")])
     return tuple(out)
 
 
@@ -461,8 +460,7 @@ def _corpus_worker(args) -> dict:
     except caps.CapExceeded as exc:
         return {"spec": spec,
                 "verdicts": [Verdict(check, INDETERMINATE, str(exc)).as_dict()
-                             for check in CHECK_IDS
-                             if checks is None or check in checks]}
+                             for check in select_checks(checks)]}
     return report_dict(analysis, verdicts)
 
 
@@ -474,8 +472,6 @@ class WorkerDied(RuntimeError):
 @dataclass(frozen=True)
 class CorpusResult:
     reports: tuple[dict, ...]
-    counts: dict
-    exit_code: int
 
     def json_lines(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n"
@@ -486,9 +482,17 @@ class CorpusResult:
         tally: dict = {}
         for rep in self.reports:
             for v in rep["verdicts"]:
-                per = tally.setdefault(v["check"], {})
-                per[v["status"]] = per.get(v["status"], 0) + 1
+                tally.setdefault(v["check"], Counter())[v["status"]] += 1
         return tally
+
+    @property
+    def counts(self) -> Counter:
+        """Status totals across all checks."""
+        return sum(self.check_counts().values(), Counter())
+
+    @property
+    def exit_code(self) -> int:
+        return 1 if self.counts[FAIL] else 0
 
     def summary(self) -> str:
         c = self.counts
@@ -536,7 +540,7 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
         catalog_group(spec)   # parse errors surface before any work
     for config in c44_configs or ():
         validate_c44_config(config)
-    _validate_check_ids(checks)
+    select_checks(checks)
     caps.enum_cap()   # a bad VG_ENUM_CAP is refused before any group runs
     args = [(spec, c44_configs, checks) for spec in ordered]
     # the pool forks all its workers at once, so never more than groups
@@ -555,12 +559,7 @@ def corpus_run(specs=None, c44_configs=None, checks=None,
                              f" {ordered[len(reports)]}") from None
     else:
         reports = [_corpus_worker(a) for a in args]
-    counts = {PASS: 0, FAIL: 0, VACUOUS: 0, INDETERMINATE: 0}
-    for report in reports:
-        for verdict in report["verdicts"]:
-            counts[verdict["status"]] += 1
-    exit_code = 1 if counts[FAIL] else 0
-    return CorpusResult(tuple(reports), counts, exit_code)
+    return CorpusResult(tuple(reports))
 
 
 def load_corpus_config(path) -> tuple[list, list | None, list | None]:

@@ -1,22 +1,18 @@
 """Permutations of {1..n} and permutation groups with a deterministic
 base-and-strong-generating-set (Schreier-Sims), which also builds
-normal closures, and a breadth-first element enumeration.  The
-enumeration numbers the elements and records each generator's
-right-multiplication table on those numbers, as lists of the id dict's
-own ints, and the product that first reached each element, as an
-integer array, so every element is a word in the generators and a
-product with it is a walk through the tables.
+normal closures, and a breadth-first element enumeration,
+``Enumeration``, the one place that stores, spells and multiplies a
+group's elements: each is an id and a word in the generators.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
 the same convention.  Points are 0-based in memory; every piece of text
 I/O (cycle strings, generator files) is 1-based.  On image tuples,
 ``a * b`` is the one C call ``itemgetter(*a)(b)``, which builds
-``(b[a[0]], b[a[1]], ...)``; the Schreier-Sims walk composes this way.
-Up to degree 256 a point fits one byte, so the enumeration keys each
-element by its image bytes and ``a * b`` is the one C call
-``a.translate(b)``, with b padded to the 256-byte table translate reads;
-above 256 points it keys by image tuples and composes with itemgetter.
+``(b[a[0]], b[a[1]], ...)``; the Schreier-Sims walk composes this way,
+and so does the enumeration above 256 points.  Up to 256 points it
+keys each element by its image bytes, and ``a * b`` is the one C call
+``a.translate(b)``, with b padded to the 256-byte table translate reads.
 
 The Schreier-Sims construction is fully deterministic: no randomized
 sifting, base points are chosen as the smallest moved points, and orbits
@@ -31,6 +27,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter, itemgetter
 
 from . import caps
@@ -277,36 +274,43 @@ def _key(images) -> bytes | tuple[int, ...]:
 
 class Enumeration:
     """A group's elements as ids 0..|G|-1, numbered by one breadth-first
-    search over the generators g_0, ..., g_(k-1), identity first.
+    search over the generators g_0, ..., g_(k-1), identity first; it
+    alone stores, spells and multiplies elements.
 
     ``ids`` maps each element's key to its id, in id order.  The key is
     the element's image bytes up to degree 256 (33 + degree bytes, and
     x * g is one ``bytes.translate``) and its image tuple above that;
-    ``tuple(key)`` is the image tuple either way, and ``id_of`` looks an
-    image tuple up.  ``right[h][x]`` is the id of x * g_h, so a product
-    with a generator is one table lookup.  The search forms the products
-    x * g_0, ..., x * g_(k-1) for x = 0, 1, ... in turn, so x * g_h is
-    product number x * k + h, and ``origin[x]`` is the number of the
-    product that first reached x: x = w * g_h for (w, h) =
+    ``images(x)`` is x's image tuple, read off the keys listed on first
+    use, and ``id_of`` looks one up.  ``right[h][x]`` is the id of
+    x * g_h, so a product with a generator is one table lookup.  The
+    search forms x * g_0, ..., x * g_(k-1) for x = 0, 1, ... in turn, so
+    x * g_h is product number x * k + h, and ``origin[x]`` is the number
+    of the product that first reached x: x = w * g_h for (w, h) =
     divmod(origin[x], k), with w < x (``origin[0]`` is unused).
     Following these parents back to the identity spells x as a word in
     the generators, so y * x is |word(x)| lookups for any y.  A right
-    table is a list whose entries are the int objects stored in ``ids``,
-    so reading one copies a reference, where reading an entry above 256
-    from an ``array('i')`` allocates a new int; the cost is 8 bytes an
-    entry instead of 4.  ``origin`` holds product numbers, which no dict
-    shares, so it stays an ``array('i')``, four bytes an entry; a
-    product number is below the k * |G| entries of the right tables, so
-    it fits one.
+    table is a list of the int objects stored in ``ids``, so reading one
+    copies a reference, where reading an entry above 256 from an
+    ``array('i')`` allocates a new int; the cost is 8 bytes an entry
+    instead of 4.  ``origin`` holds product numbers, below k * |G|, which
+    no dict shares, so it stays an ``array('i')``, four bytes an entry.
     """
-
-    __slots__ = ("ids", "right", "origin")
 
     def __init__(self, ids: dict[bytes | tuple[int, ...], int],
                  right: tuple[list[int], ...], origin: array):
         self.ids = ids
         self.right = right
         self.origin = origin
+
+    def __len__(self) -> int:
+        return len(self.origin)
+
+    @cached_property
+    def _keys(self) -> list[bytes | tuple[int, ...]]:
+        return list(self.ids)
+
+    def images(self, x: int) -> tuple[int, ...]:
+        return tuple(self._keys[x])
 
     def id_of(self, images: tuple[int, ...]) -> int:
         """The id of the element with these images; KeyError when the
@@ -328,6 +332,45 @@ class Enumeration:
         the id of y to the id of y * x, each lookup returning one of the
         ``ids`` dict's own ints."""
         return tuple(self.right[h] for h in self.word(x))
+
+    def conjugations(self) -> list[list[int]]:
+        """For each generator g = g_h, the table x -> id(g^-1 * x * g):
+        its right table read at the left table of g^-1, which follows
+        from the origins, since x = w * g_v gives g^-1 * x =
+        (g^-1 * w) * g_v, w < x.  Like the right tables they read, both
+        hold the ``ids`` dict's own ints."""
+        right = self.right
+        k = len(right)
+        tables = []
+        for table in right:
+            # g^-1 is the power of g that g takes to the identity
+            inverse = table[0]
+            while table[inverse]:
+                inverse = table[inverse]
+            left = [inverse]
+            for origin in islice(self.origin, 1, None):
+                left.append(right[origin % k][left[origin // k]])
+            tables.append(list(map(table.__getitem__, left)))
+        return tables
+
+    def noncommuting_connected(self, xs) -> bool:
+        """Whether the elements with ids xs form one component when two
+        of them are joined if they do not commute."""
+        members = [self._keys[x] for x in xs]
+        if len(members) == 1:
+            return True
+        # two members lie in a group of degree >= 2, so each itemgetter,
+        # over bytes or a tuple, returns a tuple; times[y](x) is y * x
+        times = {x: itemgetter(*x) for x in members}
+        unseen = set(members[1:])
+        frontier = members[:1]
+        while frontier and unseen:
+            x = frontier.pop()
+            times_x = times[x]
+            joined = [y for y in unseen if times[y](x) != times_x(y)]
+            unseen.difference_update(joined)
+            frontier.extend(joined)
+        return not unseen
 
 
 class PermGroup:

@@ -1,9 +1,10 @@
 """Conjugacy classes and the normal structure read off them.
 
-Covers: class enumeration by conjugation orbits on element ids, power
-maps and class-matrix rows stepped through the enumeration's right
-tables, and the commuting test on class members (so the Dixon table and
-the checks read class-indexed data only), and GroupStructure, which reads
+Covers: class enumeration by conjugation orbits, power maps and
+class-matrix rows, all stepped through the enumeration's tables on
+element ids (how an element is stored, spelled and multiplied is
+``perms.Enumeration``'s alone), so the Dixon table and the checks read
+class-indexed data only; and GroupStructure, which reads
 the centre, minimal normal subgroups, the Fitting subgroup, normal
 p-complements, a chief series, p-solvability and the derived subgroup
 off the character table as sets of class indices.  Also separating
@@ -18,9 +19,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd, prod
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import caps
@@ -33,31 +33,29 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ConjugacyClasses:
-    """Conjugacy classes of a fully enumerated permutation group.
+    """Conjugacy classes of a fully enumerated permutation group, on the
+    element ids of ``enumeration``, which alone reads an element.
 
-    ``enumeration`` holds the element ids, the generators' right tables
-    and each element's word; ``elements[id]`` is the element's key in
-    the id dict (image bytes up to degree 256, else the image tuple;
-    ``tuple`` of it is the image tuple) and ``class_of_element[id]`` its
-    class.  ``members[k]`` holds the ids of class k as the class search
-    reached them, ``sizes[k]`` is their count, and ``reps[k]``, the
-    element at ``members[k][0]``, is the first of class k in enumeration
-    order; class 0 is the identity class.  ``power_class(k, e)`` gives
-    the class of rep_k ** e for any integer e, and ``orders[k]`` the
-    order of rep_k.  ``rational_classes[k]`` is ``(i, s)``: class k is
-    the Galois image rep_i ** s, s prime to the order, of the smallest
-    class i of its rational class.  The class search, the power maps
-    and the class-matrix rows step through the right tables on ids and
-    build no element; only the commuting test multiplies elements.
+    ``class_of_element[id]`` is the element's class, ``members[k]`` the
+    ids of class k as the class search reached them and ``sizes[k]``
+    their count; ``reps[k]``, the element at ``members[k][0]``, is the
+    first of class k in enumeration order, and class 0 is the identity
+    class.  ``power_class(k, e)`` gives the class of rep_k ** e for any
+    integer e, and ``orders[k]`` the order of rep_k.
+    ``rational_classes[k]`` is ``(i, s)``: class k is the Galois image
+    rep_i ** s, s prime to the order, of the smallest class i of its
+    rational class.  The power maps and the class-matrix rows step
+    through the right tables along each representative's word, its
+    ``_rep_steps``, and build no element.
     """
 
     group: PermGroup
     enumeration: Enumeration
-    elements: list[bytes | tuple[int, ...]]
     members: tuple[array, ...]
     reps: tuple[Perm, ...]
     class_of_element: array
     _power: tuple[tuple[int, ...], ...]
+    _rep_steps: tuple[tuple[list[int], ...], ...]
 
     @property
     def count(self) -> int:
@@ -103,10 +101,6 @@ class ConjugacyClasses:
                     out[row[s]] = (i, s)
         return tuple(out)
 
-    @cached_property
-    def _rep_steps(self) -> tuple[tuple[list[int], ...], ...]:
-        return tuple(self.enumeration.steps(ys[0]) for ys in self.members)
-
     def class_matrix_row(self, i: int, r: int) -> list[int]:
         """Row r of the class matrix M_i: entry c counts the x in class i
         with x^-1 * rep_r in class c, which is the class constant
@@ -121,25 +115,6 @@ class ConjugacyClasses:
             row[class_of[y]] += 1
         return row
 
-    def noncommuting_connected(self, k: int) -> bool:
-        """Whether class k forms one component when two members are
-        joined if they do not commute."""
-        members = [self.elements[y] for y in self.members[k]]
-        if len(members) == 1:
-            return True
-        # two members lie in a group of degree >= 2, so each itemgetter
-        # returns a tuple; times[y](x) is y * x
-        times = {x: itemgetter(*x) for x in members}
-        unseen = set(members[1:])
-        frontier = members[:1]
-        while frontier and unseen:
-            x = frontier.pop()
-            times_x = times[x]
-            joined = [y for y in unseen if times[y](x) != times_x(y)]
-            unseen.difference_update(joined)
-            frontier.extend(joined)
-        return not unseen
-
 
 def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     enumeration = group.enumeration()
@@ -148,13 +123,14 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     # representative's powers
     if len(members) > caps.TABLE_CLASS_CAP:
         raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
-    elements = list(enumeration.ids)
-    reps = tuple(Perm(tuple(elements[ys[0]])) for ys in members)
+    # images lists every key on its first call, so call it only after
+    # the class search has freed its tables
+    reps = tuple(Perm(enumeration.images(ys[0])) for ys in members)
+    rep_steps = tuple(enumeration.steps(ys[0]) for ys in members)
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
     # return to the identity, so its length is the order of rep_k
     power = []
-    for ys in members:
-        steps = enumeration.steps(ys[0])
+    for ys, steps in zip(members, rep_steps):
         x = ys[0]
         row = [0]
         while x:
@@ -162,8 +138,8 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
             for table in steps:
                 x = table[x]
         power.append(tuple(row))
-    return ConjugacyClasses(group, enumeration, elements, tuple(members),
-                            reps, class_of, tuple(power))
+    return ConjugacyClasses(group, enumeration, tuple(members), reps,
+                            class_of, tuple(power), rep_steps)
 
 
 def _class_search(enumeration: Enumeration) -> tuple[array, list[array]]:
@@ -175,9 +151,8 @@ def _class_search(enumeration: Enumeration) -> tuple[array, list[array]]:
     entry: a class index below 257 is a cached small int, so reading
     ``class_of`` allocates nothing either, and ``members`` as lists did
     not make the character table measurably faster."""
-    conjugations = [_conjugation(enumeration, h)
-                    for h in range(len(enumeration.right))]
-    class_of = array("i", [-1]) * len(enumeration.ids)
+    conjugations = enumeration.conjugations()
+    class_of = array("i", [-1]) * len(enumeration)
     members = []
     for eid in range(len(class_of)):
         if class_of[eid] >= 0:
@@ -193,24 +168,6 @@ def _class_search(enumeration: Enumeration) -> tuple[array, list[array]]:
                     orbit.append(y)
         members.append(array("i", orbit))
     return class_of, members
-
-
-def _conjugation(enumeration: Enumeration, h: int) -> list[int]:
-    """The table x -> id(g^-1 * x * g) for the generator g = g_h: its
-    right table read at the left table of g^-1, which follows from the
-    origins, since x = w * g_v gives g^-1 * x = (g^-1 * w) * g_v, w < x.
-    Both tables are lists of entries read from the right tables, so,
-    like those, they hold the ``ids`` dict's own ints, 8 bytes an entry."""
-    right = enumeration.right
-    k = len(right)
-    # g^-1 is the power of g that g takes to the identity
-    inverse = right[h][0]
-    while right[h][inverse]:
-        inverse = right[h][inverse]
-    left = [inverse]
-    for origin in islice(enumeration.origin, 1, None):
-        left.append(right[origin % k][left[origin // k]])
-    return list(map(right[h].__getitem__, left))
 
 
 def _is_abelian_chief_order(order: int) -> bool:

@@ -5,11 +5,11 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_perms import perm_order
 
-from vangraph import caps, catalog, dixon
+from vangraph import caps, catalog, dixon, symchar
 from vangraph.cyclo import Cyc
 from vangraph.dixon import character_table, dixon_prime
 from vangraph.numth import (charpoly, nullspace, poly_mul, poly_roots,
@@ -53,6 +53,44 @@ def test_degree_square_sum_and_row_count():
         assert len(t.values) == t.classes.count
         for i, d in enumerate(t.degrees):
             assert t.row(i)[0].as_int() == d > 0
+
+
+def psl2_degrees(p):
+    """The degrees of PSL(2,p), p an odd prime >= 5, in closed form
+    (Fulton and Harris, Representation Theory, section 5.2)."""
+    eps = 1 if p % 4 == 1 else -1
+    plus = (p - 5) // 4 if eps == 1 else (p - 3) // 4
+    minus = (p - 1) // 4 if eps == 1 else (p - 3) // 4
+    return sorted([1, p] + [p + 1] * plus + [p - 1] * minus
+                  + [(p + eps) // 2] * 2)
+
+
+def alternating_degrees(n):
+    """The degrees of A_n read off the S_n table: chi_lambda restricts
+    irreducibly once for each pair lambda != lambda', and splits into
+    two halves for a self-associate lambda."""
+    labels, columns, values = symchar.sn_table(n)
+    one = columns.index((1,) * n)
+    degrees = []
+    for lam, row in zip(labels, values):
+        associate = symchar.conjugate(lam)
+        if lam == associate:
+            degrees += [row[one] // 2] * 2
+        elif lam > associate:
+            degrees.append(row[one])
+    return sorted(degrees)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_psl2_degrees_match_the_closed_form(analyses, p):
+    table = analyses(f"PSL(2,{p})").table
+    assert table.classes.count == (p + 5) // 2
+    assert sorted(table.degrees) == psl2_degrees(p)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_alternating_degrees_match_symmetric_characters(analyses, n):
+    assert sorted(analyses(f"A{n}").table.degrees) == alternating_degrees(n)
 
 
 def test_s3_table_frozen():
@@ -382,7 +420,7 @@ def test_random_two_generator_classes(group):
     assert len(brute) == group.order
     assert all(cls.class_of(x) == brute[x.images] for x in elements)
     assert sum(map(len, cls.members)) == group.order
-    assert {tuple(cls.elements[y]): j for j, ys in enumerate(cls.members)
+    assert {cls.enumeration.images(y): j for j, ys in enumerate(cls.members)
             for y in ys} == brute
     first = {}
     for x in elements:
@@ -509,7 +547,9 @@ def test_table_products_are_bounded_by_pivot_rows(monkeypatch):
             CountingIds(cls.enumeration.ids),
             tuple(CountingTable(t, tally) for t in cls.enumeration.right),
             cls.enumeration.origin)
-        counted = dataclasses.replace(cls, enumeration=enumeration)
+        counted = dataclasses.replace(
+            cls, enumeration=enumeration,
+            _rep_steps=tuple(enumeration.steps(ys[0]) for ys in cls.members))
         rows.clear()
         t = character_table(counted)
         products = sum(cls.sizes[i] for i, _ in rows)
@@ -518,6 +558,45 @@ def test_table_products_are_bounded_by_pivot_rows(monkeypatch):
         assert tally["steps"] == sum(cls.sizes[i] * words[r] for i, r in rows)
         assert enumeration.ids.lookups == 0
         assert t.degrees == character_table(cls).degrees
+
+
+PRODUCT_ATOMS = ("C2", "C3", "C4", "C5", "C6", "C7", "S3", "D8", "D12",
+                 "A4", "S4", "A5", "PSL(2,7)")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(PRODUCT_ATOMS), st.sampled_from(PRODUCT_ATOMS))
+@example("S3", "A5")
+@example("C6", "A5")
+@example("A5", "A5")
+@example("D8", "S3")
+@example("C7", "A5")
+@example("S4", "PSL(2,7)")
+@example("C5", "C7")
+@example("C4", "C6")
+@example("D12", "C3")
+def test_direct_product_table_is_the_factors_tensor(analyses, h, k):
+    # Irr(H x K) is every psi x phi over Irr(H) x Irr(K).  Each class of
+    # H x K is matched to a pair of factor classes by restricting its
+    # representative to each factor's points; the product's table and
+    # the factors' tables are independent Dixon runs, with their own
+    # primes and splitting paths
+    product = analyses(f"{h} x {k}").table
+    factors = (analyses(h).table, analyses(k).table)
+    pairs = []
+    for rep in product.classes.reps:
+        pair, offset = [], 0
+        for factor in factors:
+            degree = factor.classes.group.degree
+            part = rep.images[offset:offset + degree]
+            pair.append(factor.classes.class_of(
+                Perm(tuple(x - offset for x in part))))
+            offset += degree
+        pairs.append(pair)
+    want = sorted(tuple((a[i] * b[j]).key() for i, j in pairs)
+                  for a in factors[0].values for b in factors[1].values)
+    assert sorted(tuple(v.key() for v in row)
+                  for row in product.values) == want
 
 
 def zero_columns(t, i):

@@ -93,6 +93,10 @@ def test_unknown_check_id_rejected(analyses):
 def test_check_subset_only_runs_requested(analyses):
     verdicts = check_theorems(analyses("S3"), checks=["CHK-DOLFI"])
     assert [v.check for v in verdicts] == ["CHK-DOLFI"]
+    # a selection runs in report order, whatever order it is given in
+    verdicts = check_theorems(analyses("S3"),
+                              checks=["CHK-C44", "CHK-DOLFI", "CHK-PROP"])
+    assert [v.check for v in verdicts] == ["CHK-PROP", "CHK-DOLFI", "CHK-C44"]
 
 
 def test_c44_config_validation():

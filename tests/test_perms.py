@@ -182,7 +182,8 @@ def test_groups_of_degree_at_most_two():
     empty = PermGroup([], degree=0)
     assert list(empty.enumeration().ids) == [b""]
     assert empty.elements() == (Perm(()),)
-    assert conjugacy_classes(empty).noncommuting_connected(0)
+    classes = conjugacy_classes(empty)
+    assert classes.enumeration.noncommuting_connected(classes.members[0])
     for group in (PermGroup([], degree=1), cyclic_group(1),
                   symmetric_group(1)):
         assert list(group.enumeration().ids) == [b"\x00"]
@@ -193,7 +194,7 @@ def test_groups_of_degree_at_most_two():
     assert (closure.order, closure.generators) == (1, ())
     classes = conjugacy_classes(trivial)
     assert (classes.count, classes.sizes) == (1, (1,))
-    assert classes.noncommuting_connected(0)
+    assert classes.enumeration.noncommuting_connected(classes.members[0])
     # degree 2: the smallest where the products run
     swap = Perm((1, 0))
     for group in (cyclic_group(2), symmetric_group(2)):
@@ -369,6 +370,30 @@ def test_both_key_types_match_the_tuple_oracle(group, key):
     assert list(enumeration.origin) == origin
     assert [enumeration.id_of(e) for e in ids] == list(range(len(ids)))
     assert [g.images for g in group.elements()] == list(ids)
+    assert len(enumeration) == len(ids)
+    assert [enumeration.images(x) for x in range(len(ids))] == list(ids)
+
+
+@pytest.mark.parametrize("group", [
+    symmetric_group(4), catalog_group("A5"), catalog_group("D8"),
+    catalog_group("C2 x S3"), padded(symmetric_group(4), 300, 290),
+], ids=["S4", "A5", "D8", "C2 x S3", "S4 on 300 points"])
+def test_commuting_test_matches_perm_products(group):
+    # the oracle joins two class members when their Perm products
+    # differ and walks the components; bytes and tuple keys alike
+    classes = conjugacy_classes(group)
+    for ys in classes.members:
+        xs = [Perm(classes.enumeration.images(y)) for y in ys]
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            a = xs[frontier.pop()]
+            joined = {j for j, b in enumerate(xs)
+                      if j not in reached and a * b != b * a}
+            reached |= joined
+            frontier.extend(joined)
+        assert classes.enumeration.noncommuting_connected(ys) == \
+            (len(reached) == len(xs))
 
 
 def test_enumeration_memory_stays_on_bytes_keys():

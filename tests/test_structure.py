@@ -19,9 +19,8 @@ from vangraph.harness import DEFAULT_CORPUS, report_dict
 from vangraph.numth import prime_divisors
 from vangraph.perms import (Perm, PermGroup, _inverse, normal_closure,
                             parse_cycles)
-from vangraph.structure import (GroupStructure, _conjugation,
-                                conjugacy_classes, joint_stabilizer_index,
-                                separating_subsets)
+from vangraph.structure import (GroupStructure, conjugacy_classes,
+                                joint_stabilizer_index, separating_subsets)
 
 
 def grp(spec):
@@ -229,8 +228,7 @@ def test_id_tables_hold_the_enumerations_own_ints(group):
     enumeration = group.enumeration()
     values = list(enumeration.ids.values())
     assert len(values) == 720
-    tables = list(enumeration.right) + [
-        _conjugation(enumeration, h) for h in range(len(enumeration.right))]
+    tables = list(enumeration.right) + enumeration.conjugations()
     for table in tables:
         assert len(table) == 720
         assert all(y is values[y] for y in table)
