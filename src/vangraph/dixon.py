@@ -36,7 +36,7 @@ from operator import mul
 from .cyclo import Cyc
 from .numth import (charpoly, dixon_prime, nullspace, poly_roots,
                     primitive_root, rref)
-from .structure import ConjugacyClasses
+from .structure import ClassFacts, ConjugacyClasses
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CharacterTable:
     stored at conductor equal to the order of class j's representative.
     """
 
-    classes: ConjugacyClasses
+    classes: ClassFacts
     degrees: tuple[int, ...]
     values: tuple[tuple[Cyc, ...], ...]
     modulus: int

@@ -20,7 +20,7 @@ from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
-from .structure import ConjugacyClasses, GroupStructure, conjugacy_classes
+from .structure import ClassFacts, GroupStructure, conjugacy_classes
 from .vanishing import (PrimeGraph, VanishingReport, prime_graph,
                         vanishing_report)
 
@@ -91,7 +91,7 @@ class Analysis:
 
     spec: str
     group: PermGroup
-    classes: ConjugacyClasses
+    classes: ClassFacts
     structure: GroupStructure
     table: CharacterTable
     vanishing: VanishingReport
@@ -256,7 +256,7 @@ def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     with K, lies in Z(M) = 1."""
     classes = analysis.classes
     p = prime_divisors(analysis.structure.order(m_sub))[0]
-    return all(classes.enumeration.noncommuting_connected(classes.members[j])
+    return all(classes.noncommuting_connected(j)
                for j in m_sub if classes.orders[j] == p)
 
 

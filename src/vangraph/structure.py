@@ -32,40 +32,30 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class ConjugacyClasses:
-    """Conjugacy classes of a fully enumerated permutation group, on the
-    element ids of ``enumeration``, which alone reads an element.
+class ClassFacts:
+    """The class facts every class layer holds, and those read off its
+    power maps, written once for both producers: ``ConjugacyClasses``
+    here and ``symchar.SymmetricClasses``.
 
-    ``class_of_element[id]`` is the element's class, ``members[k]`` the
-    ids of class k as the class search reached them and ``sizes[k]``
-    their count; ``reps[k]``, the element at ``members[k][0]``, is the
-    first of class k in enumeration order, and class 0 is the identity
-    class.  ``power_class(k, e)`` gives the class of rep_k ** e for any
+    ``reps[k]`` is the first element of class k in enumeration order,
+    so class 0 is the identity class, and ``sizes[k]`` is the class
+    size.  ``power_class(k, e)`` gives the class of rep_k ** e for any
     integer e, and ``orders[k]`` the order of rep_k.
     ``rational_classes[k]`` is ``(i, s)``: class k is the Galois image
     rep_i ** s, s prime to the order, of the smallest class i of its
-    rational class.  The power maps and the class-matrix rows step
-    through the right tables along each representative's word, its
-    ``_rep_steps``, and build no element.
+    rational class.  Row k of ``_power`` lists the classes of
+    rep_k ** 0, 1, ... until the powers return to the identity, so its
+    length is the order of rep_k.
     """
 
     group: PermGroup
-    enumeration: Enumeration
-    members: tuple[array, ...]
     reps: tuple[Perm, ...]
-    class_of_element: array
+    sizes: tuple[int, ...]
     _power: tuple[tuple[int, ...], ...]
-    _rep_steps: tuple[tuple[list[int], ...], ...]
 
     @property
     def count(self) -> int:
         return len(self.reps)
-
-    def class_of(self, g: Perm) -> int:
-        try:
-            return self.class_of_element[self.enumeration.id_of(g.images)]
-        except KeyError:
-            raise ValueError("element not in group") from None
 
     def power_class(self, k: int, e: int) -> int:
         row = self._power[k]
@@ -73,10 +63,6 @@ class ConjugacyClasses:
 
     def inverse_class(self, k: int) -> int:
         return self.power_class(k, -1)
-
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.members))
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
@@ -100,6 +86,43 @@ class ConjugacyClasses:
                 if out[row[s]] is None and gcd(s, m) == 1:
                     out[row[s]] = (i, s)
         return tuple(out)
+
+
+@dataclass(frozen=True)
+class ConjugacyClasses(ClassFacts):
+    """Conjugacy classes of a fully enumerated permutation group, on the
+    element ids of ``enumeration``, which alone reads an element.
+
+    A class layer provides these facts, and the character table, the
+    structure and the checks read no other: ``group``, ``count``,
+    ``reps``, ``sizes``, ``orders``, ``power_class``,
+    ``inverse_class`` and ``rational_classes`` (see ``ClassFacts``);
+    ``class_of(g)``, the class of an element g of the group, ValueError
+    for any other permutation; and ``noncommuting_connected(j)``,
+    whether class j is one component when two members are joined if
+    they do not commute.  ``class_matrix_row`` is not a class fact but
+    Dixon's input, so this enumerated layer alone has it.
+
+    ``class_of_element[id]`` is the element's class and ``members[k]``
+    the ids of class k as the class search reached them, the
+    representative first.  The power maps and the class-matrix rows step
+    through the right tables along each representative's word, its
+    ``_rep_steps``, and build no element.
+    """
+
+    enumeration: Enumeration
+    members: tuple[array, ...]
+    class_of_element: array
+    _rep_steps: tuple[tuple[list[int], ...], ...]
+
+    def class_of(self, g: Perm) -> int:
+        try:
+            return self.class_of_element[self.enumeration.id_of(g.images)]
+        except KeyError:
+            raise ValueError("element not in group") from None
+
+    def noncommuting_connected(self, j: int) -> bool:
+        return self.enumeration.noncommuting_connected(self.members[j])
 
     def class_matrix_row(self, i: int, r: int) -> list[int]:
         """Row r of the class matrix M_i: entry c counts the x in class i
@@ -138,8 +161,10 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
             for table in steps:
                 x = table[x]
         power.append(tuple(row))
-    return ConjugacyClasses(group, enumeration, tuple(members), reps,
-                            class_of, tuple(power), rep_steps)
+    return ConjugacyClasses(
+        group=group, reps=reps, sizes=tuple(map(len, members)),
+        _power=tuple(power), enumeration=enumeration, members=tuple(members),
+        class_of_element=class_of, _rep_steps=rep_steps)
 
 
 def _class_search(enumeration: Enumeration) -> tuple[array, list[array]]:

@@ -183,7 +183,7 @@ def test_groups_of_degree_at_most_two():
     assert list(empty.enumeration().ids) == [b""]
     assert empty.elements() == (Perm(()),)
     classes = conjugacy_classes(empty)
-    assert classes.enumeration.noncommuting_connected(classes.members[0])
+    assert classes.noncommuting_connected(0)
     for group in (PermGroup([], degree=1), cyclic_group(1),
                   symmetric_group(1)):
         assert list(group.enumeration().ids) == [b"\x00"]
@@ -194,7 +194,7 @@ def test_groups_of_degree_at_most_two():
     assert (closure.order, closure.generators) == (1, ())
     classes = conjugacy_classes(trivial)
     assert (classes.count, classes.sizes) == (1, (1,))
-    assert classes.enumeration.noncommuting_connected(classes.members[0])
+    assert classes.noncommuting_connected(0)
     # degree 2: the smallest where the products run
     swap = Perm((1, 0))
     for group in (cyclic_group(2), symmetric_group(2)):
@@ -382,7 +382,7 @@ def test_commuting_test_matches_perm_products(group):
     # the oracle joins two class members when their Perm products
     # differ and walks the components; bytes and tuple keys alike
     classes = conjugacy_classes(group)
-    for ys in classes.members:
+    for k, ys in enumerate(classes.members):
         xs = [Perm(classes.enumeration.images(y)) for y in ys]
         reached = {0}
         frontier = [0]
@@ -392,7 +392,7 @@ def test_commuting_test_matches_perm_products(group):
                       if j not in reached and a * b != b * a}
             reached |= joined
             frontier.extend(joined)
-        assert classes.enumeration.noncommuting_connected(ys) == \
+        assert classes.noncommuting_connected(k) == \
             (len(reached) == len(xs))
 
 
