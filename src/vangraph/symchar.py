@@ -129,8 +129,33 @@ def sn_table(n: int) -> tuple[tuple[tuple[int, ...], ...],
     Returns (row labels, column labels, values): rows and columns are
     both indexed by partitions of n in reverse lexicographic order,
     columns read as cycle types.
+
+    The rim-hook removals are shared across rows and columns: every
+    partition is held as the bit mask of its n beads, so a partition
+    has one mask whichever row it was reached from, and the value of
+    (mask, remaining cycle lengths) is computed once.
     """
     labels = tuple(partitions(n))
-    values = tuple(tuple(mn_value(lam, mu) for mu in labels)
-                   for lam in labels)
+    removals: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def value(beads: int, mu: tuple[int, ...]) -> int:
+        if not mu:
+            return 1
+        got = removals.get((beads, mu))
+        if got is None:
+            r, rest = mu[0], mu[1:]
+            got = 0
+            for b in range(r, beads.bit_length()):
+                if beads >> b & 1 and not beads >> (b - r) & 1:
+                    moved = value(beads ^ (1 << b) ^ (1 << (b - r)), rest)
+                    # the beads passed count the rim hook's leg length
+                    passed = beads >> (b - r + 1) & ((1 << (r - 1)) - 1)
+                    got += -moved if passed.bit_count() & 1 else moved
+            removals[beads, mu] = got
+        return got
+
+    masks = [sum(1 << (p + n - 1 - i)
+                 for i, p in enumerate(lam + (0,) * (n - len(lam))))
+             for lam in labels]
+    values = tuple(tuple(value(beads, mu) for mu in labels) for beads in masks)
     return labels, labels, values

@@ -165,6 +165,15 @@ def test_mn_value_on_long_identity_column():
     assert mn_value((1,) * 600, (2,) * 300) == 1
 
 
+def test_sn_table_matches_mn_value():
+    # sn_table shares its rim-hook removals across rows and columns;
+    # mn_value runs the rule alone for each pair
+    for n in range(10):
+        rows, cols, values = sn_table(n)
+        assert [[mn_value(lam, mu) for mu in cols] for lam in rows] == \
+            [list(row) for row in values], n
+
+
 def test_sn_table_shape():
     rows, cols, values = sn_table(5)
     assert rows == cols == tuple(partitions(5))
