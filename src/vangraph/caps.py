@@ -43,3 +43,16 @@ def enum_cap() -> int:
         raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer,"
                          f" got {raw!r}")
     return cap
+
+
+def check_enumerable(order: int) -> None:
+    """Refuse via CapExceeded a group whose order exceeds ``enum_cap()``."""
+    cap = enum_cap()
+    if order > cap:
+        raise CapExceeded(f"order {order} exceeds enumeration cap {cap}")
+
+
+def check_table_classes(count: int) -> None:
+    """Refuse via CapExceeded a table of more than TABLE_CLASS_CAP classes."""
+    if count > TABLE_CLASS_CAP:
+        raise CapExceeded(f"{count} classes exceeds table cap {TABLE_CLASS_CAP}")

@@ -106,16 +106,21 @@ def character_table(classes: ConjugacyClasses) -> CharacterTable:
         raise ArithmeticError("rows fail the orthogonality relation mod l")
 
     rows = _lift(classes, ell, exponent, degrees, ratios)
-    # Burnside: every nonlinear irreducible character vanishes somewhere
+    return sorted_table(classes, degrees, rows, ell)
+
+
+def sorted_table(classes: ClassFacts, degrees: list[int],
+                 rows: list[list[Cyc]], modulus: int) -> CharacterTable:
+    """The table of these rows, sorted by degree, then by value keys,
+    after checking Burnside's theorem: every nonlinear irreducible
+    character vanishes somewhere."""
     if any(d > 1 and not any(v.is_zero() for v in row)
            for d, row in zip(degrees, rows)):
         raise ArithmeticError("a nonlinear character has no zero")
-
-    order_key = sorted(range(k), key=lambda r: (degrees[r],
-                                                tuple(c.key() for c in rows[r])))
-    degrees = tuple(degrees[r] for r in order_key)
-    values = tuple(tuple(rows[r]) for r in order_key)
-    return CharacterTable(classes, degrees, values, ell)
+    order_key = sorted(range(len(rows)), key=lambda r: (
+        degrees[r], tuple(c.key() for c in rows[r])))
+    return CharacterTable(classes, tuple(degrees[r] for r in order_key),
+                          tuple(tuple(rows[r]) for r in order_key), modulus)
 
 
 def _lift(classes: ConjugacyClasses, ell: int, exponent: int,

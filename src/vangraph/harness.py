@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import caps
-from .catalog import catalog_group
+from .catalog import catalog_group, symmetric_family
 from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
 from .perms import PermGroup, parse_cycles
 from .structure import ClassFacts, GroupStructure, conjugacy_classes
+from .symchar import symmetric_classes, symmetric_table
 from .vanishing import (PrimeGraph, VanishingReport, prime_graph,
                         vanishing_report)
 
@@ -98,12 +99,24 @@ class Analysis:
 
 
 def analyze(spec: str | PermGroup) -> Analysis:
+    """The classes, table, structure and vanishing report of one group.
+
+    The path is picked here, once: a description that is a single
+    ``S<n>`` or ``A<n>`` atom gets its classes and table from
+    partitions (``symchar``), without enumerating the group; every
+    other description, and a PermGroup, gets them from the element
+    enumeration and Dixon's method.  Both give the same classes, in the
+    same order, and the same table, and refuse at the same caps."""
     if isinstance(spec, PermGroup):
-        group, name = spec, "<group>"
+        group, name, family = spec, "<group>", None
     else:
-        group, name = catalog_group(spec), spec
-    classes = conjugacy_classes(group)
-    table = character_table(classes)
+        group, name, family = catalog_group(spec), spec, symmetric_family(spec)
+    if family is None:
+        classes = conjugacy_classes(group)
+        table = character_table(classes)
+    else:
+        classes = symmetric_classes(group, alternating=family == "A")
+        table = symmetric_table(classes)
     structure = GroupStructure(table)
     # both structure certificates raise here, before any check reads
     # the structure: the chief factors against |G|, then the derived

@@ -28,6 +28,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import Iterator
 from operator import attrgetter, itemgetter
 
 from . import caps
@@ -356,21 +357,27 @@ class Enumeration:
     def noncommuting_connected(self, xs) -> bool:
         """Whether the elements with ids xs form one component when two
         of them are joined if they do not commute."""
-        members = [self._keys[x] for x in xs]
-        if len(members) == 1:
-            return True
-        # two members lie in a group of degree >= 2, so each itemgetter,
-        # over bytes or a tuple, returns a tuple; times[y](x) is y * x
-        times = {x: itemgetter(*x) for x in members}
-        unseen = set(members[1:])
-        frontier = members[:1]
-        while frontier and unseen:
-            x = frontier.pop()
-            times_x = times[x]
-            joined = [y for y in unseen if times[y](x) != times_x(y)]
-            unseen.difference_update(joined)
-            frontier.extend(joined)
-        return not unseen
+        return _noncommuting_connected([self._keys[x] for x in xs])
+
+
+def _noncommuting_connected(members) -> bool:
+    """Whether the elements with these keys or image tuples, all of one
+    degree, form one component when two of them are joined if they do
+    not commute."""
+    if len(members) == 1:
+        return True
+    # two members lie in a group of degree >= 2, so each itemgetter,
+    # over bytes or a tuple, returns a tuple; times[y](x) is y * x
+    times = {x: itemgetter(*x) for x in members}
+    unseen = set(members[1:])
+    frontier = members[:1]
+    while frontier and unseen:
+        x = frontier.pop()
+        times_x = times[x]
+        joined = [y for y in unseen if times[y](x) != times_x(y)]
+        unseen.difference_update(joined)
+        frontier.extend(joined)
+    return not unseen
 
 
 class PermGroup:
@@ -419,6 +426,59 @@ class PermGroup:
 
     # -- enumeration -----------------------------------------------------
 
+    def _right_multiplication(self):
+        """The identity's key, each generator g_h as the operand that
+        multiplies a key on the right, and ``times``: times(e)(g) is the
+        key of e * g_h."""
+        identity = _key(range(self.degree))
+        if type(identity) is bytes:
+            # e * g is e.translate(g), with g padded to 256 bytes
+            pad = bytes(range(self.degree, 256))
+            return (identity, [bytes(g.images) + pad for g in self.generators],
+                    attrgetter("translate"))
+
+        def times(e):
+            # e has 257 points or more, so this returns a tuple
+            return itemgetter(*e)
+        return identity, [g.images for g in self.generators], times
+
+    def walk(self) -> Iterator[tuple[int, ...]]:
+        """The elements' image tuples in element id order, found by the
+        same breadth-first search as ``enumeration`` but one at a time,
+        so a caller that stops early stores only the keys found before
+        it stops.  Checks no cap."""
+        identity, images, times = self._right_multiplication()
+        seen = {identity}
+        frontier = [identity]
+        yield tuple(identity)
+        for e in frontier:
+            image = times(e)
+            for g in images:
+                f = image(g)
+                if f not in seen:
+                    seen.add(f)
+                    frontier.append(f)
+                    yield tuple(f)
+
+    def class_noncommuting_connected(self, g: Perm) -> bool:
+        """Whether the conjugacy class of g is one component when two
+        members are joined if they do not commute.  The class is built
+        as g's orbit under conjugation by the generators."""
+        conjugators = [(itemgetter(*_inverse(h.images)), h.images)
+                       for h in self.generators]
+        members = [g.images]
+        seen = {g.images}
+        for x in members:
+            # a group with a generator has degree >= 2, so both
+            # itemgetters return tuples: h^-1 * x * h
+            times_x = itemgetter(*x)
+            for inverse_times, h in conjugators:
+                y = inverse_times(times_x(h))
+                if y not in seen:
+                    seen.add(y)
+                    members.append(y)
+        return _noncommuting_connected(members)
+
     @cached_property
     def _enumeration(self) -> Enumeration:
         # the chain and the enumeration derive |G| independently: the
@@ -426,23 +486,12 @@ class PermGroup:
         # first element past it, and the count is checked after it
         n = self.order
         k = len(self.generators)
-        identity = _key(range(self.degree))
+        identity, images, times = self._right_multiplication()
         ids = {identity: 0}
         setdefault = ids.setdefault
         frontier = [identity]
         right = tuple([0] * n for _ in range(k))
         origin = array("i", [0]) * n
-        if type(identity) is bytes:
-            # e * g is e.translate(g), with g padded to 256 bytes
-            pad = bytes(range(self.degree, 256))
-            images = [bytes(g.images) + pad for g in self.generators]
-            times = attrgetter("translate")
-        else:
-            images = [g.images for g in self.generators]
-
-            def times(e):
-                # e has 257 points or more, so this returns a tuple
-                return itemgetter(*e)
         gens = [(h, g, table)
                 for h, (g, table) in enumerate(zip(images, right))]
         for x, e in enumerate(frontier):
@@ -470,9 +519,7 @@ class PermGroup:
         CapExceeded when the order exceeds ``caps.enum_cap()``, and
         raises ArithmeticError when the count differs from the chain's
         order."""
-        cap = caps.enum_cap()
-        if self.order > cap:
-            raise caps.CapExceeded(f"order {self.order} exceeds enumeration cap {cap}")
+        caps.check_enumerable(self.order)
         return self._enumeration
 
     def elements(self) -> tuple[Perm, ...]:

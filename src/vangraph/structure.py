@@ -144,8 +144,7 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     class_of, members = _class_search(enumeration)
     # the table cap, read before the power maps, which walk each
     # representative's powers
-    if len(members) > caps.TABLE_CLASS_CAP:
-        raise caps.CapExceeded(f"{len(members)} classes exceeds table cap {caps.TABLE_CLASS_CAP}")
+    caps.check_table_classes(len(members))
     # images lists every key on its first call, so call it only after
     # the class search has freed its tables
     reps = tuple(Perm(enumeration.images(ys[0])) for ys in members)

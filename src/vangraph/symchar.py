@@ -1,4 +1,5 @@
-"""Symmetric group characters from partition combinatorics.
+"""Symmetric group characters from partition combinatorics, and the
+class layer and character table of S_n and A_n read off partitions.
 
 Character values come from the Murnaghan-Nakayama rule, run on the
 beta-number (abacus) encoding: a partition lambda with l parts is the
@@ -11,11 +12,35 @@ integer arithmetic.
 
 Partitions are plain tuples of weakly decreasing positive integers;
 cycle types are the same shape (fixed points written as parts of 1).
+
+``symmetric_classes`` and ``symmetric_table`` give the catalog's S_n
+and A_n the same classes, in the same order, and the same table as
+``structure.conjugacy_classes`` and ``dixon.character_table``, without
+enumerating the group or splitting a Dixon table.  The classes of S_n
+are the cycle types; those of A_n are the even types, a type of
+distinct odd parts split in two (James and Kerber, *The Representation
+Theory of the Symmetric Group*, 1.2.10).  They are numbered by the
+breadth-first walk of the enumeration, stopped once every class is
+reached.  S_n's rows are ``sn_table``'s; A_n's are the restrictions of
+one character of each associate pair, and two constituents of each
+self-associate one, with the values of James and Kerber, Theorem
+2.5.13, on the split pair of its diagonal hook type.
 """
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from functools import cache
+from math import factorial, lcm, prod
+from operator import mul
 from typing import Iterator
+
+from . import caps
+from .cyclo import Cyc
+from .dixon import CharacterTable, sorted_table
+from .numth import dixon_prime, factorint
+from .perms import Perm, PermGroup
+from .structure import ClassFacts
 
 
 def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -159,3 +184,254 @@ def sn_table(n: int) -> tuple[tuple[tuple[int, ...], ...],
              for lam in labels]
     values = tuple(tuple(value(beads, mu) for mu in labels) for beads in masks)
     return labels, labels, values
+
+
+def _cycles(images) -> list[list[int]]:
+    """The cycles of the permutation with these images, each from its
+    smallest point, listed by smallest point."""
+    seen = bytearray(len(images))
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        p = images[start]
+        while p != start:
+            seen[p] = 1
+            cycle.append(p)
+            p = images[p]
+        out.append(cycle)
+    return out
+
+
+def _cycle_type(cycles) -> tuple[int, ...]:
+    return tuple(sorted(map(len, cycles), reverse=True))
+
+
+def _sequence_parity(cycles) -> int:
+    """The parity of i -> s[i], for s the points of these cycles, whose
+    lengths are distinct, listed cycle by cycle in length order.  For
+    x and g of one such type, a permutation conjugating x to g maps the
+    sequence of x to that of g, so its parity is the sum of theirs; a
+    cycle's starting point does not matter, since every length is odd
+    on a split type."""
+    sequence = [p for cycle in sorted(cycles, key=len) for p in cycle]
+    seen = bytearray(len(sequence))
+    even = len(sequence)
+    for start in range(len(sequence)):
+        if not seen[start]:
+            even -= 1
+            p = start
+            while not seen[p]:
+                seen[p] = 1
+                p = sequence[p]
+    return even & 1
+
+
+def _centralizer_order(mu) -> int:
+    """|C_{S_n}(x)| for x of cycle type mu."""
+    return prod(length ** m * factorial(m) for length, m in Counter(mu).items())
+
+
+def _splits(mu) -> bool:
+    """Whether the S_n class of an even type mu is two A_n classes: its
+    parts are odd and distinct."""
+    return all(p % 2 for p in mu) and len(set(mu)) == len(mu)
+
+
+def _class_index(images, first_parity: dict, index: dict) -> int:
+    """The class of the element with these images; KeyError when no
+    class has its (type, half)."""
+    cycles = _cycles(images)
+    mu = _cycle_type(cycles)
+    first = first_parity.get(mu)
+    half = 0 if first is None else _sequence_parity(cycles) ^ first
+    return index[mu, half]
+
+
+@dataclass(frozen=True)
+class SymmetricClasses(ClassFacts):
+    """The class layer of the catalog's S_n or A_n on n points, read
+    off cycle types; the facts it provides are those listed by
+    ``structure.ConjugacyClasses``, in the same class order.
+
+    ``types[k]`` is the cycle type of class k.  ``_first_parity`` maps
+    each split type of A_n to the sequence parity of its first element
+    in enumeration order, so an element of that type is in the first
+    class reached when its own parity matches (half 0), else in the
+    other (half 1); ``_index`` maps (type, half) to the class.
+    """
+
+    alternating: bool
+    types: tuple[tuple[int, ...], ...]
+    _first_parity: dict
+    _index: dict
+
+    def class_of(self, g: Perm) -> int:
+        if g.degree != self.group.degree:
+            raise ValueError("element not in group")
+        try:
+            return _class_index(g.images, self._first_parity, self._index)
+        except KeyError:   # an odd permutation, when the group is A_n
+            raise ValueError("element not in group") from None
+
+    def noncommuting_connected(self, j: int) -> bool:
+        return self.group.class_noncommuting_connected(self.reps[j])
+
+
+def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
+    """The classes of ``group``, the catalog's S_n (or A_n, when
+    alternating) on n points.  Refuses as the enumerated path does: by
+    the enumeration cap on the order, then by the table cap on the
+    class count.  Raises ArithmeticError when the walk ends before it
+    reaches every class, or when the class sizes do not sum to the
+    order of the group's chain."""
+    n = group.degree
+    caps.check_enumerable(group.order)
+    types = [mu for mu in partitions(n)
+             if not alternating or (n - len(mu)) % 2 == 0]
+    split = {mu for mu in types if alternating and _splits(mu)}
+    count = len(types) + len(split)
+    caps.check_table_classes(count)
+
+    # classes are numbered as the class search numbers them: in the
+    # enumeration order of their first elements
+    first_parity = {}
+    index = {}
+    reps = []
+    for images in group.walk():
+        cycles = _cycles(images)
+        mu = _cycle_type(cycles)
+        half = 0
+        if mu in split:
+            parity = _sequence_parity(cycles)
+            half = parity ^ first_parity.setdefault(mu, parity)
+        if (mu, half) not in index:
+            index[mu, half] = len(reps)
+            reps.append(images)
+            if len(reps) == count:
+                break
+    else:
+        raise ArithmeticError(f"the walk reached {len(reps)} of {count} classes")
+    labels = sorted(index, key=index.__getitem__)
+    sizes = tuple(factorial(n) // _centralizer_order(mu) // (1 + (mu in split))
+                  for mu, _ in labels)
+    if sum(sizes) != group.order:
+        raise ArithmeticError("class sizes do not sum to the group order")
+    # row k lists the classes of rep_k ** 0, 1, ... until the powers
+    # return to the identity, rep_0
+    power = []
+    for r in reps:
+        row = [0]
+        x = r
+        while x != reps[0]:
+            row.append(_class_index(x, first_parity, index))
+            x = tuple(map(r.__getitem__, x))
+        power.append(tuple(row))
+    return SymmetricClasses(
+        group=group, reps=tuple(map(Perm, reps)), sizes=sizes,
+        _power=tuple(power), alternating=alternating,
+        types=tuple(mu for mu, _ in labels), _first_parity=first_parity,
+        _index=index)
+
+
+def _split_values(eps: int, mu: tuple[int, ...], m: int) -> tuple[Cyc, Cyc]:
+    """(eps + r) / 2 and (eps - r) / 2 at conductor m, for r a square
+    root of eps * prod(mu), which is 1 mod 4: with prod(mu) = s^2 q, q
+    squarefree, r is s times the product of the Gauss sums
+    sum_t (t/p) zeta_p^t over the primes p of q, whose squares
+    (-1)^((p-1)/2) p multiply to eps q.  Every p divides m, the order
+    of a permutation of type mu."""
+    root = [0] * m
+    root[0] = 1
+    s = 1
+    for p, e in factorint(prod(mu)).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            step = m // p
+            product = [0] * m
+            for t in range(1, p):
+                legendre = 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+                for a, c in enumerate(root):
+                    if c:
+                        product[(a + t * step) % m] += legendre * c
+            root = product
+    values = []
+    for sign in (s, -s):
+        raw = [sign * c for c in root]
+        raw[0] += eps
+        twice = Cyc.make(m, raw)
+        if any(c % 2 for c in twice.coeffs):
+            raise ArithmeticError("a split character value is not an algebraic integer")
+        values.append(Cyc(m, tuple(c // 2 for c in twice.coeffs)))
+    return values[0], values[1]
+
+
+def symmetric_table(classes: SymmetricClasses) -> CharacterTable:
+    """The character table of S_n or A_n on these classes, rows sorted
+    as ``dixon.character_table`` sorts them, each value at the conductor
+    of its class's order, and the modulus the Dixon prime of |G| and the
+    exponent.  Raises ArithmeticError unless ``sn_table``'s rows are
+    orthonormal, every halved value is an integer, the degree squares
+    sum to |G|, there is one row per class and every nonlinear row has
+    a zero."""
+    n = classes.group.degree
+    order = classes.group.order
+    labels, cols, values = sn_table(n)
+    sizes = [factorial(n) // _centralizer_order(mu) for mu in cols]
+    for a, chi in enumerate(values):
+        weighted = list(map(mul, sizes, chi))
+        for b in range(a + 1):
+            if sum(map(mul, weighted, values[b])) != factorial(n) * (a == b):
+                raise ArithmeticError("the S_n characters fail the orthogonality relations")
+
+    column = {mu: c for c, mu in enumerate(cols)}
+    at = [column[mu] for mu in classes.types]
+    one = column[(1,) * n]
+    orders = classes.orders
+    cyc = {}
+
+    def row_of(chi, divisor=1):
+        row = []
+        for m, c in zip(orders, at):
+            v, odd = divmod(chi[c], divisor)
+            if odd:
+                raise ArithmeticError("a halved character value is not an integer")
+            if (m, v) not in cyc:
+                cyc[m, v] = Cyc.make(m, (v,))
+            row.append(cyc[m, v])
+        return row
+
+    degrees, rows = [], []
+    taken = set()
+    for lam, chi in zip(labels, values):
+        if classes.alternating:
+            dual = conjugate(lam)
+            if dual in taken:   # chi_lambda and chi_dual restrict alike
+                continue
+            taken.add(lam)
+            if dual == lam:
+                # chi restricts to two constituents, equal off the split
+                # pair of lambda's diagonal hook type, where chi is eps
+                hooks = tuple(2 * (p - i) + 1
+                              for i, p in enumerate(lam, 1) if p >= i)
+                j, k = classes._index[hooks, 0], classes._index[hooks, 1]
+                eps = (-1) ** ((n - len(hooks)) // 2)
+                a, b = _split_values(eps, hooks, orders[j])
+                off_pair = list(chi)
+                off_pair[column[hooks]] = 0
+                for x, y in ((a, b), (b, a)):
+                    row = row_of(off_pair, 2)
+                    row[j], row[k] = x, y
+                    degrees.append(chi[one] // 2)
+                    rows.append(row)
+                continue
+        degrees.append(chi[one])
+        rows.append(row_of(chi))
+    if len(rows) != classes.count:
+        raise ArithmeticError(f"{len(rows)} characters for {classes.count} classes")
+    if sum(d * d for d in degrees) != order:
+        raise ArithmeticError("degree squares do not sum to the group order")
+    modulus = dixon_prime(order, lcm(*orders))
+    return sorted_table(classes, degrees, rows, modulus)

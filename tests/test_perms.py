@@ -393,7 +393,20 @@ def test_commuting_test_matches_perm_products(group):
             reached |= joined
             frontier.extend(joined)
         assert classes.noncommuting_connected(k) == \
+            group.class_noncommuting_connected(classes.reps[k]) == \
             (len(reached) == len(xs))
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup([], degree=0), symmetric_group(1), cyclic_group(2),
+    catalog_group("A5"), catalog_group("S3 x A5"), cyclic_group(256),
+    padded(symmetric_group(4), 300, 290),
+], ids=["degree 0", "S1", "C2", "A5", "S3 x A5", "C256", "S4 on 300 points"])
+def test_walk_is_the_enumeration_order(group):
+    # the early-stopped walk numbers elements as the enumeration does,
+    # for bytes and tuple keys alike
+    assert list(group.walk()) == \
+        [tuple(key) for key in group.enumeration().ids]
 
 
 def test_enumeration_memory_stays_on_bytes_keys():

@@ -1,15 +1,25 @@
 """Symmetric-group characters by the Murnaghan-Nakayama rule on bead
 sets, checked against the hook length formula, the sign character and
-both orthogonality relations, whose oracles live here."""
+both orthogonality relations, whose oracles live here; and the classes
+and tables of S_n and A_n from partitions, checked against the
+enumerated classes and Dixon's tables."""
 
 import math
 from collections import Counter
+from itertools import islice
 
 import pytest
 
-from vangraph.symchar import (conjugate, is_self_associate, mn_value,
-                              partitions, sn_table, witness_cycle_type,
-                              witness_partition)
+from vangraph import caps, harness, symchar
+from vangraph.catalog import catalog_group
+from vangraph.dixon import character_table
+from vangraph.harness import DEFAULT_C44_CONFIGS
+from vangraph.perms import Perm, PermGroup
+from vangraph.structure import ConjugacyClasses, conjugacy_classes
+from vangraph.symchar import (SymmetricClasses, conjugate, is_self_associate,
+                              mn_value, partitions, sn_table,
+                              symmetric_classes, symmetric_table,
+                              witness_cycle_type, witness_partition)
 
 
 def hook_lengths(lam):
@@ -218,3 +228,136 @@ def test_witness_partition_rejections():
         witness_partition(8, 3, False)   # t does not divide n
     with pytest.raises(ValueError):
         witness_partition(8, 3, True)    # t does not divide n-1
+
+
+# The partition path against the enumerated one: the class search and
+# Dixon's table are the oracle wherever both run.
+
+SYMMETRIC_ATOMS = [f"S{n}" for n in range(1, 9)] + [f"A{n}" for n in range(3, 10)]
+
+
+def partition_path(spec):
+    group = catalog_group(spec)
+    classes = symmetric_classes(group, alternating=spec[0] == "A")
+    return classes, symmetric_table(classes)
+
+
+def table_key(table):
+    return (table.degrees,
+            tuple(tuple(c.key() for c in row) for row in table.values),
+            table.modulus)
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS)
+def test_partition_path_matches_the_enumerated_path(spec):
+    enumerated = conjugacy_classes(catalog_group(spec))
+    classes, table = partition_path(spec)
+    assert classes.count == enumerated.count
+    assert classes.sizes == enumerated.sizes
+    assert classes.orders == enumerated.orders
+    assert [[classes.power_class(j, e) for e in range(m)]
+            for j, m in enumerate(classes.orders)] == \
+        [[enumerated.power_class(j, e) for e in range(m)]
+         for j, m in enumerate(enumerated.orders)]
+    assert classes.rational_classes == enumerated.rational_classes
+    assert [r.images for r in classes.reps] == \
+        [r.images for r in enumerated.reps]
+    # class_of on every element up to S6 and A6; above, on every
+    # representative's powers and on the first and last members the
+    # class search reached, both halves of each split pair among them
+    if enumerated.group.order <= 720:
+        ids = range(enumerated.group.order)
+    else:
+        ids = {y for ys in enumerated.members for y in (*ys[:20], *ys[-20:])}
+    for y in ids:
+        g = Perm(enumerated.enumeration.images(y))
+        assert classes.class_of(g) == enumerated.class_of_element[y]
+    for j, rep in enumerate(classes.reps):
+        power = rep
+        for e in range(1, classes.orders[j] + 1):
+            assert classes.class_of(power) == classes.power_class(j, e)
+            power = power * rep
+    assert table_key(table) == table_key(character_table(enumerated))
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "A7", "S8"])
+def test_partition_path_reports_match(spec):
+    # analyze(PermGroup) takes the enumerated path; CHK-C44's
+    # configurations are keyed by the spec, so they are renamed to it
+    configs = [dict(c, group="<group>") for c in DEFAULT_C44_CONFIGS
+               if c["group"] == spec]
+    fast = harness.analyze(spec)
+    slow = harness.analyze(catalog_group(spec))
+    assert isinstance(fast.classes, SymmetricClasses)
+    assert isinstance(slow.classes, ConjugacyClasses)
+    fast_report = harness.report_dict(fast, harness.check_theorems(fast))
+    slow_report = harness.report_dict(slow, harness.check_theorems(
+        slow, c44_configs=configs))
+    assert fast_report.pop("spec") == spec
+    assert slow_report.pop("spec") == "<group>"
+    assert fast_report == slow_report
+
+
+def test_partition_path_never_enumerates(monkeypatch):
+    def refuse(group):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(PermGroup, "_enumeration", property(refuse))
+    for spec in ("S8", "A9"):
+        analysis = harness.analyze(spec)
+        verdicts = harness.check_theorems(analysis)
+        assert {v.status for v in verdicts} <= {"PASS", "VACUOUS"}
+        harness.report_dict(analysis, verdicts)
+        assert analysis.classes.noncommuting_connected(1)
+
+
+def test_partition_class_of_refuses_other_permutations():
+    classes, _ = partition_path("A5")
+    with pytest.raises(ValueError, match="element not in group"):
+        classes.class_of(Perm((1, 0, 2, 3, 4)))
+    with pytest.raises(ValueError, match="element not in group"):
+        classes.class_of(Perm.identity(6))
+
+
+@pytest.mark.parametrize("enum_cap, class_cap", [
+    ("100", 60), ("1000", 4), ("100", 4)])
+def test_partition_path_refuses_at_the_same_caps(monkeypatch, enum_cap,
+                                                 class_cap):
+    # the order against the enumeration cap first, then the class count
+    monkeypatch.setenv("VG_ENUM_CAP", enum_cap)
+    monkeypatch.setattr(caps, "TABLE_CLASS_CAP", class_cap)
+    messages = []
+    for spec in ("S5", catalog_group("S5")):
+        with pytest.raises(caps.CapExceeded) as exc:
+            harness.analyze(spec)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_partition_certificates(monkeypatch):
+    # a class size off by a factor of two: the sizes miss |G|
+    centralizer = symchar._centralizer_order
+    monkeypatch.setattr(symchar, "_centralizer_order", lambda mu: centralizer(
+        mu) * (2 if mu == (3, 1, 1) else 1))
+    with pytest.raises(ArithmeticError, match="class sizes do not sum"):
+        partition_path("A5")
+    monkeypatch.undo()
+    # the walk stopped short of the last class
+    walk = PermGroup.walk
+    monkeypatch.setattr(PermGroup, "walk",
+                        lambda group: islice(walk(group), 10))
+    with pytest.raises(ArithmeticError, match="the walk reached"):
+        partition_path("S6")
+    monkeypatch.undo()
+    # one value of S_6's (4,2) row flipped in sign
+    labels, cols, values = sn_table(6)
+    doctored = [list(row) for row in values]
+    i, j = labels.index((4, 2)), cols.index((2, 1, 1, 1, 1))
+    assert doctored[i][j]
+    doctored[i][j] = -doctored[i][j]
+    monkeypatch.setattr(symchar, "sn_table", lambda n: (
+        labels, cols, tuple(map(tuple, doctored))))
+    with pytest.raises(ArithmeticError, match="orthogonality"):
+        partition_path("S6")
+    with pytest.raises(ArithmeticError, match="orthogonality"):
+        partition_path("A6")
