@@ -1,8 +1,12 @@
 """Permutations of {1..n} and permutation groups with a deterministic
 base-and-strong-generating-set (Schreier-Sims), which also builds
 normal closures, and a breadth-first element enumeration,
-``Enumeration``, the one place that stores, spells and multiplies a
-group's elements: each is an id and a word in the generators.
+``Enumeration``, in which each element is an id and a word in the
+generators.  No other module stores, spells or multiplies a group's
+elements.  ``PermGroup.walk`` yields the elements in the same order one at a
+time, for a caller that stops early, and
+``PermGroup.class_noncommuting_connected`` runs the commuting test on
+one class built as a conjugation orbit; neither enumerates the group.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under

@@ -1,5 +1,10 @@
 """Conjugacy classes and the normal structure read off them.
 
+``ClassFacts`` holds the facts every class layer provides and those
+read off its power maps; ``ConjugacyClasses`` is the enumerated layer,
+and ``symchar.SymmetricClasses`` the layer of S_n and A_n read off
+partitions.
+
 Covers: class enumeration by conjugation orbits, power maps and
 class-matrix rows, all stepped through the enumeration's tables on
 element ids (how an element is stored, spelled and multiplied is
