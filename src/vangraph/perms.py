@@ -3,8 +3,8 @@ base-and-strong-generating-set (Schreier-Sims), which also builds
 normal closures, and a breadth-first element enumeration,
 ``Enumeration``, in which each element is an id and a word in the
 generators.  No other module stores, spells or multiplies a group's
-elements.  ``PermGroup.walk`` yields the elements in the same order one at a
-time, for a caller that stops early, and
+elements.  ``PermGroup.walk`` yields the elements in the same order,
+one at a time, for a caller that stops early, and
 ``PermGroup.class_noncommuting_connected`` runs the commuting test on
 one class built as a conjugation orbit; neither enumerates the group.
 
@@ -32,8 +32,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
 from operator import attrgetter, itemgetter
+from typing import Iterator
 
 from . import caps
 
@@ -74,20 +74,7 @@ class Perm:
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points included, each rotated to start
         at its smallest point, listed by smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            seen[start] = True
-            cyc = [start]
-            p = self.images[start]
-            while p != start:
-                seen[p] = True
-                cyc.append(p)
-                p = self.images[p]
-            out.append(tuple(cyc))
-        return out
+        return cycles_of(self.images)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
@@ -117,6 +104,24 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm[{self.cycle_string()}]"
+
+
+def cycles_of(images) -> list[tuple[int, ...]]:
+    """``Perm(images).cycles()``, without building the Perm."""
+    seen = bytearray(len(images))
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        cycle = [start]
+        p = images[start]
+        while p != start:
+            seen[p] = 1
+            cycle.append(p)
+            p = images[p]
+        out.append(tuple(cycle))
+    return out
 
 
 def commutator(a: Perm, b: Perm) -> Perm:

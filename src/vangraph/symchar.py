@@ -39,7 +39,7 @@ from . import caps
 from .cyclo import Cyc
 from .dixon import CharacterTable, sorted_table
 from .numth import dixon_prime, factorint
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, cycles_of
 from .structure import ClassFacts
 
 
@@ -186,25 +186,6 @@ def sn_table(n: int) -> tuple[tuple[tuple[int, ...], ...],
     return labels, labels, values
 
 
-def _cycles(images) -> list[list[int]]:
-    """The cycles of the permutation with these images, each from its
-    smallest point, listed by smallest point."""
-    seen = bytearray(len(images))
-    out = []
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = 1
-        p = images[start]
-        while p != start:
-            seen[p] = 1
-            cycle.append(p)
-            p = images[p]
-        out.append(cycle)
-    return out
-
-
 def _cycle_type(cycles) -> tuple[int, ...]:
     return tuple(sorted(map(len, cycles), reverse=True))
 
@@ -217,16 +198,8 @@ def _sequence_parity(cycles) -> int:
     cycle's starting point does not matter, since every length is odd
     on a split type."""
     sequence = [p for cycle in sorted(cycles, key=len) for p in cycle]
-    seen = bytearray(len(sequence))
-    even = len(sequence)
-    for start in range(len(sequence)):
-        if not seen[start]:
-            even -= 1
-            p = start
-            while not seen[p]:
-                seen[p] = 1
-                p = sequence[p]
-    return even & 1
+    # a permutation of n points with c cycles is n - c transpositions
+    return (len(sequence) - len(cycles_of(sequence))) & 1
 
 
 def _centralizer_order(mu) -> int:
@@ -243,7 +216,7 @@ def _splits(mu) -> bool:
 def _class_index(images, first_parity: dict, index: dict) -> int:
     """The class of the element with these images; KeyError when no
     class has its (type, half)."""
-    cycles = _cycles(images)
+    cycles = cycles_of(images)
     mu = _cycle_type(cycles)
     first = first_parity.get(mu)
     half = 0 if first is None else _sequence_parity(cycles) ^ first
@@ -301,7 +274,7 @@ def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
     index = {}
     reps = []
     for images in group.walk():
-        cycles = _cycles(images)
+        cycles = cycles_of(images)
         mu = _cycle_type(cycles)
         half = 0
         if mu in split:
