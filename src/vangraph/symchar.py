@@ -29,7 +29,6 @@ self-associate one, with the values of James and Kerber, Theorem
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import factorial, lcm, prod
 from operator import mul
@@ -223,7 +222,6 @@ def _class_index(images, first_parity: dict, index: dict) -> int:
     return index[mu, half]
 
 
-@dataclass(frozen=True)
 class SymmetricClasses(ClassFacts):
     """The class layer of the catalog's S_n or A_n on n points, read
     off cycle types; the facts it provides are those listed by
@@ -236,10 +234,18 @@ class SymmetricClasses(ClassFacts):
     other (half 1); ``_index`` maps (type, half) to the class.
     """
 
-    alternating: bool
-    types: tuple[tuple[int, ...], ...]
-    _first_parity: dict
-    _index: dict
+    def __init__(self, group: PermGroup, reps: tuple[Perm, ...],
+                 sizes: tuple[int, ...], power: tuple[tuple[int, ...], ...],
+                 alternating: bool, types: tuple[tuple[int, ...], ...],
+                 first_parity: dict, index: dict):
+        self.group = group
+        self.reps = reps
+        self.sizes = sizes
+        self._power = power
+        self.alternating = alternating
+        self.types = types
+        self._first_parity = first_parity
+        self._index = index
 
     def class_of(self, g: Perm) -> int:
         if g.degree != self.group.degree:
@@ -302,11 +308,10 @@ def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
             row.append(_class_index(x, first_parity, index))
             x = tuple(map(r.__getitem__, x))
         power.append(tuple(row))
-    return SymmetricClasses(
-        group=group, reps=tuple(map(Perm, reps)), sizes=sizes,
-        _power=tuple(power), alternating=alternating,
-        types=tuple(mu for mu, _ in labels), _first_parity=first_parity,
-        _index=index)
+    return SymmetricClasses(group, tuple(map(Perm, reps)), sizes,
+                            tuple(power), alternating,
+                            tuple(mu for mu, _ in labels), first_parity,
+                            index)
 
 
 def _split_values(eps: int, mu: tuple[int, ...], m: int) -> tuple[Cyc, Cyc]:

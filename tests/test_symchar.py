@@ -280,7 +280,7 @@ def test_partition_path_matches_the_enumerated_path(spec):
     assert table_key(table) == table_key(character_table(enumerated))
 
 
-@pytest.mark.parametrize("spec", ["S4", "A5", "A7", "S8"])
+@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS)
 def test_partition_path_reports_match(spec):
     # analyze(PermGroup) takes the enumerated path; CHK-C44's
     # configurations are keyed by the spec, so they are renamed to it
