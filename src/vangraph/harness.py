@@ -266,10 +266,11 @@ def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     different factors commute.  If M is simple, each member of a class
     C maps a component K to itself (it lies in K or commutes with K), so
     <C> = M normalises K; then <K> = M, and the rest of C, commuting
-    with K, lies in Z(M) = 1."""
+    with K, lies in Z(M) = 1.  Each class is built from its
+    representative as a conjugation orbit, on either class layer."""
     classes = analysis.classes
     p = prime_divisors(analysis.structure.order(m_sub))[0]
-    return all(classes.noncommuting_connected(j)
+    return all(analysis.group.class_noncommuting_connected(classes.reps[j])
                for j in m_sub if classes.orders[j] == p)
 
 

@@ -5,8 +5,8 @@ normal closures, and a breadth-first element enumeration,
 generators.  No other module stores, spells or multiplies a group's
 elements.  ``PermGroup.walk`` yields the elements in the same order,
 one at a time, for a caller that stops early, and
-``PermGroup.class_noncommuting_connected`` runs the commuting test on
-one class built as a conjugation orbit; neither enumerates the group.
+``PermGroup.class_noncommuting_connected``, the one commuting test,
+builds a class as a conjugation orbit; neither enumerates the group.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
@@ -78,12 +78,10 @@ class Perm:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, sorted descending."""
-        lengths = [len(c) for c in self.cycles()]
-        return tuple(sorted(lengths, reverse=True))
+        return cycle_type_of(self.cycles())
 
     def sign(self) -> int:
-        odd_cycles = sum(1 for c in self.cycles() if len(c) % 2 == 0)
-        return -1 if odd_cycles % 2 else 1
+        return -1 if parity_of(self.cycles()) else 1
 
     def cycle_string(self) -> str:
         """1-based cycle notation; the identity prints as ``()``."""
@@ -122,6 +120,18 @@ def cycles_of(images) -> list[tuple[int, ...]]:
             p = images[p]
         out.append(tuple(cycle))
     return out
+
+
+def cycle_type_of(cycles) -> tuple[int, ...]:
+    """The lengths of these disjoint cycles, sorted descending."""
+    return tuple(sorted(map(len, cycles), reverse=True))
+
+
+def parity_of(cycles) -> int:
+    """The parity, 0 or 1, of the permutation with these disjoint
+    cycles, fixed points included: n points in c cycles are n - c
+    transpositions."""
+    return (sum(map(len, cycles)) - len(cycles)) & 1
 
 
 def commutator(a: Perm, b: Perm) -> Perm:
@@ -290,37 +300,43 @@ class Enumeration:
     ``ids`` maps each element's key to its id, in id order.  The key is
     the element's image bytes up to degree 256 (33 + degree bytes, and
     x * g is one ``bytes.translate``) and its image tuple above that;
-    ``images(x)`` is x's image tuple, read off the keys listed on first
-    use, and ``id_of`` looks one up.  ``right[h][x]`` is the id of
-    x * g_h, so a product with a generator is one table lookup.  The
-    search forms x * g_0, ..., x * g_(k-1) for x = 0, 1, ... in turn, so
-    x * g_h is product number x * k + h, and ``origin[x]`` is the number
-    of the product that first reached x: x = w * g_h for (w, h) =
-    divmod(origin[x], k), with w < x (``origin[0]`` is unused).
-    Following these parents back to the identity spells x as a word in
-    the generators, so y * x is |word(x)| lookups for any y.  A right
-    table is a list of the int objects stored in ``ids``, so reading one
-    copies a reference, where reading an entry above 256 from an
-    ``array('i')`` allocates a new int; the cost is 8 bytes an entry
-    instead of 4.  ``origin`` holds product numbers, below k * |G|, which
-    no dict shares, so it stays an ``array('i')``, four bytes an entry.
+    ``id_of`` looks one up.  ``generators[h]`` is g_h's image tuple.
+    ``right[h][x]`` is the id of x * g_h, so a product with a generator
+    is one table lookup.  The search forms x * g_0, ..., x * g_(k-1) for
+    x = 0, 1, ... in turn, so x * g_h is product number x * k + h, and
+    ``origin[x]`` is the number of the product that first reached x:
+    x = w * g_h for (w, h) = divmod(origin[x], k), with w < x
+    (``origin[0]`` is unused).  Following these parents back to the
+    identity spells x as a word in the generators, so y * x is
+    |word(x)| lookups for any y, and ``images(x)`` is |word(x)|
+    products of image tuples.  A right table is a list of the int
+    objects stored in ``ids``, so reading one copies a reference, where
+    reading an entry above 256 from an ``array('i')`` allocates a new
+    int; the cost is 8 bytes an entry instead of 4.  ``origin`` holds
+    product numbers, below k * |G|, which no dict shares, so it stays
+    an ``array('i')``, four bytes an entry.
     """
 
     def __init__(self, ids: dict[bytes | tuple[int, ...], int],
-                 right: tuple[list[int], ...], origin: array):
+                 right: tuple[list[int], ...], origin: array,
+                 generators: tuple[tuple[int, ...], ...]):
         self.ids = ids
         self.right = right
         self.origin = origin
+        self.generators = generators
 
     def __len__(self) -> int:
         return len(self.origin)
 
-    @cached_property
-    def _keys(self) -> list[bytes | tuple[int, ...]]:
-        return list(self.ids)
-
     def images(self, x: int) -> tuple[int, ...]:
-        return tuple(self._keys[x])
+        """x's image tuple, spelled from its word g_h1 * ... * g_hm right
+        to left: g_h * y is the one C call ``itemgetter(*g_h)(y)``."""
+        # the identity's key comes first, and a generator is never the
+        # identity, so its degree is >= 2 and itemgetter returns a tuple
+        images = tuple(next(iter(self.ids)))
+        for h in reversed(self.word(x)):
+            images = itemgetter(*self.generators[h])(images)
+        return images
 
     def id_of(self, images: tuple[int, ...]) -> int:
         """The id of the element with these images; KeyError when the
@@ -362,31 +378,6 @@ class Enumeration:
                 left.append(right[origin % k][left[origin // k]])
             tables.append(list(map(table.__getitem__, left)))
         return tables
-
-    def noncommuting_connected(self, xs) -> bool:
-        """Whether the elements with ids xs form one component when two
-        of them are joined if they do not commute."""
-        return _noncommuting_connected([self._keys[x] for x in xs])
-
-
-def _noncommuting_connected(members) -> bool:
-    """Whether the elements with these keys or image tuples, all of one
-    degree, form one component when two of them are joined if they do
-    not commute."""
-    if len(members) == 1:
-        return True
-    # two members lie in a group of degree >= 2, so each itemgetter,
-    # over bytes or a tuple, returns a tuple; times[y](x) is y * x
-    times = {x: itemgetter(*x) for x in members}
-    unseen = set(members[1:])
-    frontier = members[:1]
-    while frontier and unseen:
-        x = frontier.pop()
-        times_x = times[x]
-        joined = [y for y in unseen if times[y](x) != times_x(y)]
-        unseen.difference_update(joined)
-        frontier.extend(joined)
-    return not unseen
 
 
 class PermGroup:
@@ -473,20 +464,32 @@ class PermGroup:
         """Whether the conjugacy class of g is one component when two
         members are joined if they do not commute.  The class is built
         as g's orbit under conjugation by the generators."""
+        if not self.generators:
+            # the trivial group, whose one class is the identity
+            return True
+        # a group with a generator has degree >= 2, so every itemgetter
+        # here returns a tuple; times[y](x) is y * x
         conjugators = [(itemgetter(*_inverse(h.images)), h.images)
                        for h in self.generators]
         members = [g.images]
-        seen = {g.images}
+        times = {g.images: itemgetter(*g.images)}
         for x in members:
-            # a group with a generator has degree >= 2, so both
-            # itemgetters return tuples: h^-1 * x * h
-            times_x = itemgetter(*x)
+            times_x = times[x]
             for inverse_times, h in conjugators:
+                # h^-1 * x * h
                 y = inverse_times(times_x(h))
-                if y not in seen:
-                    seen.add(y)
+                if y not in times:
+                    times[y] = itemgetter(*y)
                     members.append(y)
-        return _noncommuting_connected(members)
+        unseen = set(members[1:])
+        frontier = members[:1]
+        while frontier and unseen:
+            x = frontier.pop()
+            times_x = times[x]
+            joined = [y for y in unseen if times[y](x) != times_x(y)]
+            unseen.difference_update(joined)
+            frontier.extend(joined)
+        return not unseen
 
     @cached_property
     def _enumeration(self) -> Enumeration:
@@ -520,7 +523,8 @@ class PermGroup:
         if len(ids) != n:
             raise ArithmeticError(
                 f"enumeration found {len(ids)} elements, chain order {n}")
-        return Enumeration(ids, right, origin)
+        return Enumeration(ids, right, origin,
+                           tuple(g.images for g in self.generators))
 
     def enumeration(self) -> Enumeration:
         """Every element as an id, with the generators' right tables and

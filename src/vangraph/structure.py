@@ -1,8 +1,9 @@
 """Conjugacy classes and the normal structure read off them.
 
 ``ClassFacts`` holds the facts every class layer provides and those
-read off its power maps; ``ConjugacyClasses`` is the enumerated layer,
-and ``symchar.SymmetricClasses`` the layer of S_n and A_n read off
+read off its power maps, and lists the whole class-layer contract;
+``ConjugacyClasses`` is the enumerated layer, and
+``symchar.SymmetricClasses`` the layer of S_n and A_n read off
 partitions.
 
 Covers: class enumeration by conjugation orbits, power maps and
@@ -42,6 +43,13 @@ class ClassFacts:
     here and ``symchar.SymmetricClasses``.  A plain base class, not a
     dataclass: the producers declare the four attributes themselves,
     and building a frozen dataclass costs about 0.7 ms at import.
+
+    A class layer provides these facts, and the character table, the
+    structure and the checks read no other: ``group``, ``count``,
+    ``reps``, ``sizes``, ``orders``, ``power_class``, ``inverse_class``
+    and ``rational_classes``, all here; and ``class_of(g)``, the class
+    of an element g of the group, ValueError for any other
+    permutation, which each producer adds.
 
     ``reps[k]`` is the first element of class k in enumeration order,
     so class 0 is the identity class, and ``sizes[k]`` is the class
@@ -97,17 +105,10 @@ class ClassFacts:
 @dataclass(frozen=True)
 class ConjugacyClasses(ClassFacts):
     """Conjugacy classes of a fully enumerated permutation group, on the
-    element ids of ``enumeration``, which alone reads an element.
-
-    A class layer provides these facts, and the character table, the
-    structure and the checks read no other: ``group``, ``count``,
-    ``reps``, ``sizes``, ``orders``, ``power_class``,
-    ``inverse_class`` and ``rational_classes`` (see ``ClassFacts``);
-    ``class_of(g)``, the class of an element g of the group, ValueError
-    for any other permutation; and ``noncommuting_connected(j)``,
-    whether class j is one component when two members are joined if
-    they do not commute.  ``class_matrix_row`` is not a class fact but
-    Dixon's input, so this enumerated layer alone has it.
+    element ids of ``enumeration``, which alone reads an element.  It
+    provides the facts listed by ``ClassFacts``; ``class_matrix_row``
+    is not a class fact but Dixon's input, so this enumerated layer
+    alone has it.
 
     ``class_of_element[id]`` is the element's class and ``members[k]``
     the ids of class k as the class search reached them, the
@@ -131,9 +132,6 @@ class ConjugacyClasses(ClassFacts):
         except KeyError:
             raise ValueError("element not in group") from None
 
-    def noncommuting_connected(self, j: int) -> bool:
-        return self.enumeration.noncommuting_connected(self.members[j])
-
     def class_matrix_row(self, i: int, r: int) -> list[int]:
         """Row r of the class matrix M_i: entry c counts the x in class i
         with x^-1 * rep_r in class c, which is the class constant
@@ -155,8 +153,6 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     # the table cap, read before the power maps, which walk each
     # representative's powers
     caps.check_table_classes(len(members))
-    # images lists every key on its first call, so call it only after
-    # the class search has freed its tables
     reps = tuple(Perm(enumeration.images(ys[0])) for ys in members)
     rep_steps = tuple(enumeration.steps(ys[0]) for ys in members)
     # row k lists the classes of rep_k ** 0, 1, ... until the powers

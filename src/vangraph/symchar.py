@@ -38,7 +38,7 @@ from . import caps
 from .cyclo import Cyc
 from .dixon import CharacterTable, sorted_table
 from .numth import dixon_prime, factorint
-from .perms import Perm, PermGroup, cycles_of
+from .perms import Perm, PermGroup, cycle_type_of, cycles_of, parity_of
 from .structure import ClassFacts
 
 
@@ -185,10 +185,6 @@ def sn_table(n: int) -> tuple[tuple[tuple[int, ...], ...],
     return labels, labels, values
 
 
-def _cycle_type(cycles) -> tuple[int, ...]:
-    return tuple(sorted(map(len, cycles), reverse=True))
-
-
 def _sequence_parity(cycles) -> int:
     """The parity of i -> s[i], for s the points of these cycles, whose
     lengths are distinct, listed cycle by cycle in length order.  For
@@ -197,8 +193,7 @@ def _sequence_parity(cycles) -> int:
     cycle's starting point does not matter, since every length is odd
     on a split type."""
     sequence = [p for cycle in sorted(cycles, key=len) for p in cycle]
-    # a permutation of n points with c cycles is n - c transpositions
-    return (len(sequence) - len(cycles_of(sequence))) & 1
+    return parity_of(cycles_of(sequence))
 
 
 def _centralizer_order(mu) -> int:
@@ -216,7 +211,7 @@ def _class_index(images, first_parity: dict, index: dict) -> int:
     """The class of the element with these images; KeyError when no
     class has its (type, half)."""
     cycles = cycles_of(images)
-    mu = _cycle_type(cycles)
+    mu = cycle_type_of(cycles)
     first = first_parity.get(mu)
     half = 0 if first is None else _sequence_parity(cycles) ^ first
     return index[mu, half]
@@ -225,7 +220,7 @@ def _class_index(images, first_parity: dict, index: dict) -> int:
 class SymmetricClasses(ClassFacts):
     """The class layer of the catalog's S_n or A_n on n points, read
     off cycle types; the facts it provides are those listed by
-    ``structure.ConjugacyClasses``, in the same class order.
+    ``structure.ClassFacts``, in the enumerated layer's class order.
 
     ``types[k]`` is the cycle type of class k.  ``_first_parity`` maps
     each split type of A_n to the sequence parity of its first element
@@ -255,9 +250,6 @@ class SymmetricClasses(ClassFacts):
         except KeyError:   # an odd permutation, when the group is A_n
             raise ValueError("element not in group") from None
 
-    def noncommuting_connected(self, j: int) -> bool:
-        return self.group.class_noncommuting_connected(self.reps[j])
-
 
 def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
     """The classes of ``group``, the catalog's S_n (or A_n, when
@@ -281,7 +273,7 @@ def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
     reps = []
     for images in group.walk():
         cycles = cycles_of(images)
-        mu = _cycle_type(cycles)
+        mu = cycle_type_of(cycles)
         half = 0
         if mu in split:
             parity = _sequence_parity(cycles)

@@ -546,7 +546,7 @@ def test_table_products_are_bounded_by_pivot_rows(monkeypatch):
         enumeration = Enumeration(
             CountingIds(cls.enumeration.ids),
             tuple(CountingTable(t, tally) for t in cls.enumeration.right),
-            cls.enumeration.origin)
+            cls.enumeration.origin, cls.enumeration.generators)
         counted = dataclasses.replace(
             cls, enumeration=enumeration,
             _rep_steps=tuple(enumeration.steps(ys[0]) for ys in cls.members))

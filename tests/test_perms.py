@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from vangraph.catalog import catalog_group, cyclic_group, symmetric_group
 from vangraph.perms import (Perm, PermGroup, _sift, normal_closure,
                             parse_cycles, read_generator_file)
 from vangraph.structure import conjugacy_classes
+from vangraph.symchar import symmetric_classes
 
 
 def p(text, degree):
@@ -183,7 +185,7 @@ def test_groups_of_degree_at_most_two():
     assert list(empty.enumeration().ids) == [b""]
     assert empty.elements() == (Perm(()),)
     classes = conjugacy_classes(empty)
-    assert classes.noncommuting_connected(0)
+    assert empty.class_noncommuting_connected(classes.reps[0])
     for group in (PermGroup([], degree=1), cyclic_group(1),
                   symmetric_group(1)):
         assert list(group.enumeration().ids) == [b"\x00"]
@@ -194,7 +196,7 @@ def test_groups_of_degree_at_most_two():
     assert (closure.order, closure.generators) == (1, ())
     classes = conjugacy_classes(trivial)
     assert (classes.count, classes.sizes) == (1, (1,))
-    assert classes.noncommuting_connected(0)
+    assert trivial.class_noncommuting_connected(classes.reps[0])
     # degree 2: the smallest where the products run
     swap = Perm((1, 0))
     for group in (cyclic_group(2), symmetric_group(2)):
@@ -371,17 +373,29 @@ def test_both_key_types_match_the_tuple_oracle(group, key):
     assert [enumeration.id_of(e) for e in ids] == list(range(len(ids)))
     assert [g.images for g in group.elements()] == list(ids)
     assert len(enumeration) == len(ids)
-    assert [enumeration.images(x) for x in range(len(ids))] == list(ids)
+    # images spells each word; the keys and the oracle are independent
+    spelled = [enumeration.images(x) for x in range(len(ids))]
+    assert spelled == [tuple(e) for e in enumeration.ids] == list(ids)
 
 
-@pytest.mark.parametrize("group", [
-    symmetric_group(4), catalog_group("A5"), catalog_group("D8"),
-    catalog_group("C2 x S3"), padded(symmetric_group(4), 300, 290),
-], ids=["S4", "A5", "D8", "C2 x S3", "S4 on 300 points"])
-def test_commuting_test_matches_perm_products(group):
-    # the oracle joins two class members when their Perm products
-    # differ and walks the components; bytes and tuple keys alike
+@pytest.mark.parametrize("group, layer", [
+    (PermGroup([], degree=0), conjugacy_classes),
+    (symmetric_group(4), conjugacy_classes),
+    (catalog_group("A5"), conjugacy_classes),
+    (catalog_group("D8"), conjugacy_classes),
+    (catalog_group("C2 x S3"), conjugacy_classes),
+    (padded(symmetric_group(4), 300, 290), conjugacy_classes),
+    (catalog_group("A6"), partial(symmetric_classes, alternating=True)),
+], ids=["degree 0", "S4", "A5", "D8", "C2 x S3", "S4 on 300 points",
+        "A6 partition layer"])
+def test_commuting_test_matches_perm_products(group, layer):
+    # the oracle joins two members of the enumerated class k when their
+    # Perm products differ and walks the components; the test builds
+    # class k from the representative of the layer under test, which
+    # numbers the classes as the enumerated layer does
     classes = conjugacy_classes(group)
+    reps = layer(group).reps
+    assert len(reps) == classes.count
     for k, ys in enumerate(classes.members):
         xs = [Perm(classes.enumeration.images(y)) for y in ys]
         reached = {0}
@@ -392,8 +406,8 @@ def test_commuting_test_matches_perm_products(group):
                       if j not in reached and a * b != b * a}
             reached |= joined
             frontier.extend(joined)
-        assert classes.noncommuting_connected(k) == \
-            group.class_noncommuting_connected(classes.reps[k]) == \
+        assert reps[k] in xs
+        assert group.class_noncommuting_connected(reps[k]) == \
             (len(reached) == len(xs))
 
 

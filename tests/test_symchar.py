@@ -308,7 +308,8 @@ def test_partition_path_never_enumerates(monkeypatch):
         verdicts = harness.check_theorems(analysis)
         assert {v.status for v in verdicts} <= {"PASS", "VACUOUS"}
         harness.report_dict(analysis, verdicts)
-        assert analysis.classes.noncommuting_connected(1)
+        assert analysis.group.class_noncommuting_connected(
+            analysis.classes.reps[1])
 
 
 def test_partition_class_of_refuses_other_permutations():
