@@ -118,14 +118,6 @@ def build_atom(token: str) -> PermGroup:
     return alternating_group(n)
 
 
-def symmetric_family(spec: str) -> str | None:
-    """The family letter, S or A, when the description is one symmetric
-    or alternating atom, else None."""
-    tokens = spec.split()
-    m = _ATOM.match(tokens[0]) if len(tokens) == 1 else None
-    return m.group(1) if m and m.group(1) in ("S", "A") else None
-
-
 def catalog_group(spec: str) -> PermGroup:
     """Parse a full group description, products included."""
     tokens = spec.split()

@@ -297,19 +297,18 @@ class Enumeration:
     search over the generators g_0, ..., g_(k-1), identity first; it
     alone stores, spells and multiplies elements.
 
-    ``ids`` maps each element's key to its id, in id order.  The key is
-    the element's image bytes up to degree 256 (33 + degree bytes, and
-    x * g is one ``bytes.translate``) and its image tuple above that;
-    ``id_of`` looks one up.  ``generators[h]`` is g_h's image tuple.
-    ``right[h][x]`` is the id of x * g_h, so a product with a generator
-    is one table lookup.  The search forms x * g_0, ..., x * g_(k-1) for
-    x = 0, 1, ... in turn, so x * g_h is product number x * k + h, and
-    ``origin[x]`` is the number of the product that first reached x:
-    x = w * g_h for (w, h) = divmod(origin[x], k), with w < x
-    (``origin[0]`` is unused).  Following these parents back to the
-    identity spells x as a word in the generators, so y * x is
-    |word(x)| lookups for any y, and ``images(x)`` is |word(x)|
-    products of image tuples.  A right table is a list of the int
+    ``ids`` maps each element's key to its id, in id order, and
+    ``tuple(key)`` is the element's image tuple.  The key is the image
+    bytes up to degree 256 (33 + degree bytes, and x * g is one
+    ``bytes.translate``) and the image tuple above that; ``id_of``
+    looks one up.  ``right[h][x]`` is the id of x * g_h, so a product
+    with a generator is one table lookup.  The search forms x * g_0,
+    ..., x * g_(k-1) for x = 0, 1, ... in turn, so x * g_h is product
+    number x * k + h, and ``origin[x]`` is the number of the product
+    that first reached x: x = w * g_h for (w, h) = divmod(origin[x], k),
+    with w < x (``origin[0]`` is unused).  Following these parents back
+    to the identity spells x as a word in the generators, so y * x is
+    |word(x)| lookups for any y.  A right table is a list of the int
     objects stored in ``ids``, so reading one copies a reference, where
     reading an entry above 256 from an ``array('i')`` allocates a new
     int; the cost is 8 bytes an entry instead of 4.  ``origin`` holds
@@ -318,25 +317,13 @@ class Enumeration:
     """
 
     def __init__(self, ids: dict[bytes | tuple[int, ...], int],
-                 right: tuple[list[int], ...], origin: array,
-                 generators: tuple[tuple[int, ...], ...]):
+                 right: tuple[list[int], ...], origin: array):
         self.ids = ids
         self.right = right
         self.origin = origin
-        self.generators = generators
 
     def __len__(self) -> int:
         return len(self.origin)
-
-    def images(self, x: int) -> tuple[int, ...]:
-        """x's image tuple, spelled from its word g_h1 * ... * g_hm right
-        to left: g_h * y is the one C call ``itemgetter(*g_h)(y)``."""
-        # the identity's key comes first, and a generator is never the
-        # identity, so its degree is >= 2 and itemgetter returns a tuple
-        images = tuple(next(iter(self.ids)))
-        for h in reversed(self.word(x)):
-            images = itemgetter(*self.generators[h])(images)
-        return images
 
     def id_of(self, images: tuple[int, ...]) -> int:
         """The id of the element with these images; KeyError when the
@@ -523,8 +510,7 @@ class PermGroup:
         if len(ids) != n:
             raise ArithmeticError(
                 f"enumeration found {len(ids)} elements, chain order {n}")
-        return Enumeration(ids, right, origin,
-                           tuple(g.images for g in self.generators))
+        return Enumeration(ids, right, origin)
 
     def enumeration(self) -> Enumeration:
         """Every element as an id, with the generators' right tables and

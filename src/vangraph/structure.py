@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, prod
 from typing import TYPE_CHECKING
 
@@ -153,7 +153,12 @@ def conjugacy_classes(group: PermGroup) -> ConjugacyClasses:
     # the table cap, read before the power maps, which walk each
     # representative's powers
     caps.check_table_classes(len(members))
-    reps = tuple(Perm(enumeration.images(ys[0])) for ys in members)
+    # the keys are in id order and the representatives in class order,
+    # so the last one has the largest id, where compress stops
+    marks = bytearray(members[-1][0] + 1)
+    for ys in members:
+        marks[ys[0]] = 1
+    reps = tuple(Perm(tuple(key)) for key in compress(enumeration.ids, marks))
     rep_steps = tuple(enumeration.steps(ys[0]) for ys in members)
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
     # return to the identity, so its length is the order of rep_k

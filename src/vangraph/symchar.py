@@ -13,8 +13,9 @@ integer arithmetic.
 Partitions are plain tuples of weakly decreasing positive integers;
 cycle types are the same shape (fixed points written as parts of 1).
 
-``symmetric_classes`` and ``symmetric_table`` give the catalog's S_n
-and A_n the same classes, in the same order, and the same table as
+``symmetric_classes`` and ``symmetric_table`` give any group that is
+S_n or A_n on its n points, as ``partition_family`` reads off its
+order, the same classes, in the same order, and the same table as
 ``structure.conjugacy_classes`` and ``dixon.character_table``, without
 enumerating the group or splitting a Dixon table.  The classes of S_n
 are the cycle types; those of A_n are the even types, a type of
@@ -28,6 +29,7 @@ self-associate one, with the values of James and Kerber, Theorem
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import cache
 from math import factorial, lcm, prod
@@ -57,7 +59,10 @@ def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
 
 
 def check_partition(lam) -> tuple[int, ...]:
-    lam = tuple(int(p) for p in lam)
+    try:
+        lam = tuple(map(operator.index, lam))
+    except TypeError:
+        raise ValueError(f"parts must be integers: {lam!r}") from None
     if any(p <= 0 for p in lam):
         raise ValueError(f"parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -207,26 +212,38 @@ def _splits(mu) -> bool:
     return all(p % 2 for p in mu) and len(set(mu)) == len(mu)
 
 
-def _class_index(images, first_parity: dict, index: dict) -> int:
-    """The class of the element with these images; KeyError when no
-    class has its (type, half)."""
+def partition_family(group: PermGroup) -> str | None:
+    """"S" when the group is S_n on its n points, "A" when it is A_n,
+    else None, read off its index in S_n: a subgroup of index 1 is S_n,
+    and one of index 2 is A_n, S_n's only subgroup of index 2 (James
+    and Kerber, ch. 1).  The order is the chain's, and divides n!."""
+    return {1: "S", 2: "A"}.get(factorial(group.degree) // group.order)
+
+
+def _classify(images, first_parity: dict) -> tuple[tuple[int, ...], int]:
+    """The (type, half) of the element with these images.  The keys of
+    ``first_parity`` are the split types; the first element of one to
+    be classified records its sequence parity there, and an element of
+    that type is in half 0 when its parity matches, else in half 1."""
     cycles = cycles_of(images)
     mu = cycle_type_of(cycles)
-    first = first_parity.get(mu)
-    half = 0 if first is None else _sequence_parity(cycles) ^ first
-    return index[mu, half]
+    if mu not in first_parity:
+        return mu, 0
+    parity = _sequence_parity(cycles)
+    if first_parity[mu] is None:
+        first_parity[mu] = parity
+    return mu, parity ^ first_parity[mu]
 
 
 class SymmetricClasses(ClassFacts):
-    """The class layer of the catalog's S_n or A_n on n points, read
-    off cycle types; the facts it provides are those listed by
+    """The class layer of a group that is S_n or A_n on its n points,
+    read off cycle types; the facts it provides are those listed by
     ``structure.ClassFacts``, in the enumerated layer's class order.
 
     ``types[k]`` is the cycle type of class k.  ``_first_parity`` maps
     each split type of A_n to the sequence parity of its first element
-    in enumeration order, so an element of that type is in the first
-    class reached when its own parity matches (half 0), else in the
-    other (half 1); ``_index`` maps (type, half) to the class.
+    in enumeration order, and ``_index`` maps the (type, half) that
+    ``_classify`` gives an element to its class.
     """
 
     def __init__(self, group: PermGroup, reps: tuple[Perm, ...],
@@ -246,48 +263,47 @@ class SymmetricClasses(ClassFacts):
         if g.degree != self.group.degree:
             raise ValueError("element not in group")
         try:
-            return _class_index(g.images, self._first_parity, self._index)
+            return self._index[_classify(g.images, self._first_parity)]
         except KeyError:   # an odd permutation, when the group is A_n
             raise ValueError("element not in group") from None
 
 
-def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
-    """The classes of ``group``, the catalog's S_n (or A_n, when
-    alternating) on n points.  Refuses as the enumerated path does: by
-    the enumeration cap on the order, then by the table cap on the
+def symmetric_classes(group: PermGroup) -> SymmetricClasses:
+    """The classes of ``group``, which ``partition_family`` must read as
+    S_n or A_n, else ValueError.  Refuses as the enumerated path does:
+    by the enumeration cap on the order, then by the table cap on the
     class count.  Raises ArithmeticError when the walk ends before it
     reaches every class, or when the class sizes do not sum to the
     order of the group's chain."""
+    family = partition_family(group)
+    if family is None:
+        raise ValueError(f"{group!r} is neither S_n nor A_n on its points")
+    alternating = family == "A"
     n = group.degree
     caps.check_enumerable(group.order)
     types = [mu for mu in partitions(n)
              if not alternating or (n - len(mu)) % 2 == 0]
-    split = {mu for mu in types if alternating and _splits(mu)}
-    count = len(types) + len(split)
+    first_parity = dict.fromkeys(mu for mu in types
+                                 if alternating and _splits(mu))
+    count = len(types) + len(first_parity)
     caps.check_table_classes(count)
 
     # classes are numbered as the class search numbers them: in the
-    # enumeration order of their first elements
-    first_parity = {}
+    # enumeration order of their first elements, the order of index
     index = {}
     reps = []
     for images in group.walk():
-        cycles = cycles_of(images)
-        mu = cycle_type_of(cycles)
-        half = 0
-        if mu in split:
-            parity = _sequence_parity(cycles)
-            half = parity ^ first_parity.setdefault(mu, parity)
-        if (mu, half) not in index:
-            index[mu, half] = len(reps)
+        key = _classify(images, first_parity)
+        if key not in index:
+            index[key] = len(reps)
             reps.append(images)
             if len(reps) == count:
                 break
     else:
         raise ArithmeticError(f"the walk reached {len(reps)} of {count} classes")
-    labels = sorted(index, key=index.__getitem__)
-    sizes = tuple(factorial(n) // _centralizer_order(mu) // (1 + (mu in split))
-                  for mu, _ in labels)
+    types = tuple(mu for mu, _ in index)
+    sizes = tuple(factorial(n) // _centralizer_order(mu)
+                  // (1 + (mu in first_parity)) for mu in types)
     if sum(sizes) != group.order:
         raise ArithmeticError("class sizes do not sum to the group order")
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
@@ -297,12 +313,11 @@ def symmetric_classes(group: PermGroup, alternating: bool) -> SymmetricClasses:
         row = [0]
         x = r
         while x != reps[0]:
-            row.append(_class_index(x, first_parity, index))
+            row.append(index[_classify(x, first_parity)])
             x = tuple(map(r.__getitem__, x))
         power.append(tuple(row))
     return SymmetricClasses(group, tuple(map(Perm, reps)), sizes,
-                            tuple(power), alternating,
-                            tuple(mu for mu, _ in labels), first_parity,
+                            tuple(power), alternating, types, first_parity,
                             index)
 
 

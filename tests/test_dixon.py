@@ -420,7 +420,8 @@ def test_random_two_generator_classes(group):
     assert len(brute) == group.order
     assert all(cls.class_of(x) == brute[x.images] for x in elements)
     assert sum(map(len, cls.members)) == group.order
-    assert {cls.enumeration.images(y): j for j, ys in enumerate(cls.members)
+    keys = list(cls.enumeration.ids)
+    assert {tuple(keys[y]): j for j, ys in enumerate(cls.members)
             for y in ys} == brute
     first = {}
     for x in elements:
@@ -546,7 +547,7 @@ def test_table_products_are_bounded_by_pivot_rows(monkeypatch):
         enumeration = Enumeration(
             CountingIds(cls.enumeration.ids),
             tuple(CountingTable(t, tally) for t in cls.enumeration.right),
-            cls.enumeration.origin, cls.enumeration.generators)
+            cls.enumeration.origin)
         counted = dataclasses.replace(
             cls, enumeration=enumeration,
             _rep_steps=tuple(enumeration.steps(ys[0]) for ys in cls.members))

@@ -3,7 +3,6 @@
 import math
 import random
 import tracemalloc
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -373,9 +372,6 @@ def test_both_key_types_match_the_tuple_oracle(group, key):
     assert [enumeration.id_of(e) for e in ids] == list(range(len(ids)))
     assert [g.images for g in group.elements()] == list(ids)
     assert len(enumeration) == len(ids)
-    # images spells each word; the keys and the oracle are independent
-    spelled = [enumeration.images(x) for x in range(len(ids))]
-    assert spelled == [tuple(e) for e in enumeration.ids] == list(ids)
 
 
 @pytest.mark.parametrize("group, layer", [
@@ -385,7 +381,7 @@ def test_both_key_types_match_the_tuple_oracle(group, key):
     (catalog_group("D8"), conjugacy_classes),
     (catalog_group("C2 x S3"), conjugacy_classes),
     (padded(symmetric_group(4), 300, 290), conjugacy_classes),
-    (catalog_group("A6"), partial(symmetric_classes, alternating=True)),
+    (catalog_group("A6"), symmetric_classes),
 ], ids=["degree 0", "S4", "A5", "D8", "C2 x S3", "S4 on 300 points",
         "A6 partition layer"])
 def test_commuting_test_matches_perm_products(group, layer):
@@ -396,8 +392,9 @@ def test_commuting_test_matches_perm_products(group, layer):
     classes = conjugacy_classes(group)
     reps = layer(group).reps
     assert len(reps) == classes.count
+    keys = list(classes.enumeration.ids)
     for k, ys in enumerate(classes.members):
-        xs = [Perm(classes.enumeration.images(y)) for y in ys]
+        xs = [Perm(tuple(keys[y])) for y in ys]
         reached = {0}
         frontier = [0]
         while frontier:

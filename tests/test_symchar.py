@@ -13,13 +13,15 @@ import pytest
 from vangraph import caps, harness, symchar
 from vangraph.catalog import catalog_group
 from vangraph.dixon import character_table
-from vangraph.harness import DEFAULT_C44_CONFIGS
-from vangraph.perms import Perm, PermGroup
-from vangraph.structure import ConjugacyClasses, conjugacy_classes
-from vangraph.symchar import (SymmetricClasses, conjugate, is_self_associate,
-                              mn_value, partitions, sn_table,
-                              symmetric_classes, symmetric_table,
-                              witness_cycle_type, witness_partition)
+from vangraph.perms import Perm, PermGroup, parse_cycles
+from vangraph.structure import (ConjugacyClasses, GroupStructure,
+                                conjugacy_classes)
+from vangraph.symchar import (SymmetricClasses, check_partition, conjugate,
+                              is_self_associate, mn_value, partition_family,
+                              partitions, sn_table, symmetric_classes,
+                              symmetric_table, witness_cycle_type,
+                              witness_partition)
+from vangraph.vanishing import vanishing_report
 
 
 def hook_lengths(lam):
@@ -119,6 +121,16 @@ def test_mn_value_oracles():
     assert mn_value((3, 2), (5,)) == 0
     with pytest.raises(ValueError):
         mn_value((2, 1), (2, 2))
+
+
+@pytest.mark.parametrize("lam", [(2.7,), ("2",), (3.9, 1.2), (2, 1.0)])
+def test_parts_that_are_not_integers_are_refused(lam):
+    # a float or a string part is refused, never truncated
+    with pytest.raises(ValueError, match="parts must be integers"):
+        check_partition(lam)
+    with pytest.raises(ValueError, match="parts must be integers"):
+        mn_value(lam, (1,) * 2)
+    assert check_partition((True, 1)) == (1, 1)   # an int subclass
 
 
 def test_mn_identity_column_is_degree():
@@ -235,10 +247,30 @@ def test_witness_partition_rejections():
 
 SYMMETRIC_ATOMS = [f"S{n}" for n in range(1, 9)] + [f"A{n}" for n in range(3, 10)]
 
+# S_n and A_n on other generating sets than the catalog's, and the
+# trivial group, which is S_0, S_1 and A_2 on 0, 1 and 2 points
+GENERATED = {
+    "S5 on (1 3 5 2 4), (2 5)": (5, ["(1 3 5 2 4)", "(2 5)"]),
+    "A6 on (1 2 3), (2 3 4 5 6)": (6, ["(1 2 3)", "(2 3 4 5 6)"]),
+    "A5 on (1 2)(3 4), (1 3 5)": (5, ["(1 2)(3 4)", "(1 3 5)"]),
+    "A7 on three generators": (7, ["(1 2 3)", "(3 4 5)", "(1 4 6 7 5)"]),
+    "S6 on three generators": (6, ["(1 2)(3 4 5)", "(2 3 4 5 6)", "(1 6)"]),
+    "S0, the trivial group": (0, []),
+    "S1, the trivial group": (1, []),
+    "A2, the trivial group": (2, []),
+}
+
+
+def group_of(spec):
+    """The group of a catalog description or of a key of GENERATED."""
+    if spec not in GENERATED:
+        return catalog_group(spec)
+    degree, cycles = GENERATED[spec]
+    return PermGroup([parse_cycles(c, degree) for c in cycles], degree=degree)
+
 
 def partition_path(spec):
-    group = catalog_group(spec)
-    classes = symmetric_classes(group, alternating=spec[0] == "A")
+    classes = symmetric_classes(group_of(spec))
     return classes, symmetric_table(classes)
 
 
@@ -248,9 +280,10 @@ def table_key(table):
             table.modulus)
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS)
+@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS + list(GENERATED))
 def test_partition_path_matches_the_enumerated_path(spec):
-    enumerated = conjugacy_classes(catalog_group(spec))
+    enumerated = conjugacy_classes(group_of(spec))
+    assert partition_family(enumerated.group) == spec[0]
     classes, table = partition_path(spec)
     assert classes.count == enumerated.count
     assert classes.sizes == enumerated.sizes
@@ -269,8 +302,9 @@ def test_partition_path_matches_the_enumerated_path(spec):
         ids = range(enumerated.group.order)
     else:
         ids = {y for ys in enumerated.members for y in (*ys[:20], *ys[-20:])}
+    keys = list(enumerated.enumeration.ids)
     for y in ids:
-        g = Perm(enumerated.enumeration.images(y))
+        g = Perm(tuple(keys[y]))
         assert classes.class_of(g) == enumerated.class_of_element[y]
     for j, rep in enumerate(classes.reps):
         power = rep
@@ -280,22 +314,53 @@ def test_partition_path_matches_the_enumerated_path(spec):
     assert table_key(table) == table_key(character_table(enumerated))
 
 
-@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS)
-def test_partition_path_reports_match(spec):
-    # analyze(PermGroup) takes the enumerated path; CHK-C44's
-    # configurations are keyed by the spec, so they are renamed to it
-    configs = [dict(c, group="<group>") for c in DEFAULT_C44_CONFIGS
-               if c["group"] == spec]
+def enumerated_analysis(spec):
+    """``harness.analyze``'s enumerated path, taken explicitly."""
+    group = catalog_group(spec) if isinstance(spec, str) else spec
+    classes = conjugacy_classes(group)
+    table = character_table(classes)
+    structure = GroupStructure(table)
+    structure.chief_factors
+    structure.derived_series
+    return harness.Analysis(
+        spec=spec if isinstance(spec, str) else "<group>", group=group,
+        classes=classes, structure=structure, table=table,
+        vanishing=vanishing_report(table))
+
+
+def assert_reports_match(spec):
     fast = harness.analyze(spec)
-    slow = harness.analyze(catalog_group(spec))
+    slow = enumerated_analysis(spec)
     assert isinstance(fast.classes, SymmetricClasses)
     assert isinstance(slow.classes, ConjugacyClasses)
-    fast_report = harness.report_dict(fast, harness.check_theorems(fast))
-    slow_report = harness.report_dict(slow, harness.check_theorems(
-        slow, c44_configs=configs))
-    assert fast_report.pop("spec") == spec
-    assert slow_report.pop("spec") == "<group>"
-    assert fast_report == slow_report
+    assert fast.spec == slow.spec
+    assert harness.report_dict(fast, harness.check_theorems(fast)) == \
+        harness.report_dict(slow, harness.check_theorems(slow))
+
+
+# C2, C3, D6 and PSL(2,3) are S2, A3, S3 and A4 on their points
+@pytest.mark.parametrize("spec", SYMMETRIC_ATOMS + ["C2", "C3", "D6", "PSL(2,3)"])
+def test_partition_path_reports_match(spec):
+    assert_reports_match(spec)
+
+
+@pytest.mark.parametrize("spec", GENERATED)
+def test_generated_groups_take_the_partition_path(spec, tmp_path):
+    # as a PermGroup, and as a generator file, which needs a point
+    assert_reports_match(group_of(spec))
+    degree, cycles = GENERATED[spec]
+    if degree:
+        path = tmp_path / "group.grp"
+        path.write_text("\n".join([f"degree: {degree}", *cycles]) + "\n")
+        assert_reports_match(f"file:{path}")
+
+
+def test_other_groups_are_neither_sn_nor_an():
+    # index 3, 6, 6, 12, 20 and 4 (S3 with a fixed point) in S_n
+    for spec in ("D8", "C4", "C2 x C2", "PSL(2,5)", "S3 x S3", "S3 x S1"):
+        assert partition_family(catalog_group(spec)) is None
+    with pytest.raises(ValueError, match="neither S_n nor A_n"):
+        symmetric_classes(catalog_group("D8"))
 
 
 def test_partition_path_never_enumerates(monkeypatch):
@@ -310,6 +375,12 @@ def test_partition_path_never_enumerates(monkeypatch):
         harness.report_dict(analysis, verdicts)
         assert analysis.group.class_noncommuting_connected(
             analysis.classes.reps[1])
+    other_a9 = PermGroup([parse_cycles("(1 2 3 4 5)", 9),
+                          parse_cycles("(5 6 7 8 9)", 9)])
+    for spec in ("C2", "C3", "D6", "PSL(2,3)", other_a9):
+        analysis = harness.analyze(spec)
+        assert isinstance(analysis.classes, SymmetricClasses)
+        harness.report_dict(analysis, harness.check_theorems(analysis))
 
 
 def test_partition_class_of_refuses_other_permutations():
@@ -328,9 +399,9 @@ def test_partition_path_refuses_at_the_same_caps(monkeypatch, enum_cap,
     monkeypatch.setenv("VG_ENUM_CAP", enum_cap)
     monkeypatch.setattr(caps, "TABLE_CLASS_CAP", class_cap)
     messages = []
-    for spec in ("S5", catalog_group("S5")):
+    for path in (harness.analyze, enumerated_analysis):
         with pytest.raises(caps.CapExceeded) as exc:
-            harness.analyze(spec)
+            path("S5")
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
