@@ -281,11 +281,11 @@ def symmetric_classes(group: PermGroup) -> SymmetricClasses:
     alternating = family == "A"
     n = group.degree
     caps.check_enumerable(group.order)
-    types = [mu for mu in partitions(n)
-             if not alternating or (n - len(mu)) % 2 == 0]
-    first_parity = dict.fromkeys(mu for mu in types
+    cycle_types = [mu for mu in partitions(n)
+                   if not alternating or (n - len(mu)) % 2 == 0]
+    first_parity = dict.fromkeys(mu for mu in cycle_types
                                  if alternating and _splits(mu))
-    count = len(types) + len(first_parity)
+    count = len(cycle_types) + len(first_parity)
     caps.check_table_classes(count)
 
     # classes are numbered as the class search numbers them: in the
