@@ -19,7 +19,7 @@ from . import caps
 from .catalog import catalog_group
 from .dixon import CharacterTable, character_table
 from .numth import is_prime, is_prime_power, prime_divisors
-from .perms import PermGroup, parse_cycles
+from .perms import PermGroup, normal_closure, parse_cycles
 from .structure import ClassFacts, GroupStructure, conjugacy_classes
 from .symchar import partition_family, symmetric_classes, symmetric_table
 from .vanishing import (PrimeGraph, VanishingReport, prime_graph,
@@ -260,19 +260,26 @@ def check_unique_minimal_vertices(analysis: Analysis) -> Verdict:
 
 def _is_simple(analysis: Analysis, m_sub: frozenset[int]) -> bool:
     """Whether a nonabelian minimal normal subgroup M = T^k is simple
-    (k = 1): iff, for p the smallest prime dividing |M|, every G-class
-    of order-p elements in M is connected, two members joined when they
-    do not commute.  If k > 1, the class of an element of one factor
-    meets every factor (G permutes them transitively), and members in
-    different factors commute.  If M is simple, each member of a class
-    C maps a component K to itself (it lies in K or commutes with K), so
-    <C> = M normalises K; then <K> = M, and the rest of C, commuting
-    with K, lies in Z(M) = 1.  Each class is built from its
-    representative as a conjugation orbit, on either class layer."""
+    (k = 1).  M = G is simple with no permutation work: then G has no
+    proper nontrivial normal subgroup.  Otherwise M is built once as the
+    normal closure in G of the representative of one order-p class in
+    M, for p the smallest prime dividing |M|, and its order checked
+    against the class set (ArithmeticError if they differ).  M is simple
+    iff the normal closure in M of the representative of every order-p
+    class in M is M: if k > 1, one factor T holds an order-p element
+    (Cauchy), and the closure of one in M is T; if k = 1, every
+    nontrivial element closes to M."""
     classes = analysis.classes
-    p = prime_divisors(analysis.structure.order(m_sub))[0]
-    return all(analysis.group.class_noncommuting_connected(classes.reps[j])
-               for j in m_sub if classes.orders[j] == p)
+    if len(m_sub) == classes.count:
+        return True
+    order = analysis.structure.order(m_sub)
+    p = prime_divisors(order)[0]
+    reps = [classes.reps[j] for j in sorted(m_sub) if classes.orders[j] == p]
+    m_grp = normal_closure(analysis.group, reps[:1])
+    if m_grp.order != order:
+        raise ArithmeticError(f"the normal closure has order {m_grp.order},"
+                              f" the socle's class set {order}")
+    return all(normal_closure(m_grp, [x]).order == order for x in reps)
 
 
 def check_almost_simple_edges(analysis: Analysis) -> Verdict:

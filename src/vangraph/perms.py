@@ -4,9 +4,8 @@ normal closures, and a breadth-first element enumeration,
 ``Enumeration``, in which each element is an id and a word in the
 generators.  No other module stores, spells or multiplies a group's
 elements.  ``PermGroup.walk`` yields the elements in the same order,
-one at a time, for a caller that stops early, and
-``PermGroup.class_noncommuting_connected``, the one commuting test,
-builds a class as a conjugation orbit; neither enumerates the group.
+one at a time, for a caller that stops early, without enumerating the
+group.
 
 Composition reads left to right: ``(a * b)(x) == b(a(x))``, i.e. apply
 ``a`` first.  The cycle parser multiplies cycles in reading order under
@@ -446,37 +445,6 @@ class PermGroup:
                     seen.add(f)
                     frontier.append(f)
                     yield tuple(f)
-
-    def class_noncommuting_connected(self, g: Perm) -> bool:
-        """Whether the conjugacy class of g is one component when two
-        members are joined if they do not commute.  The class is built
-        as g's orbit under conjugation by the generators."""
-        if not self.generators:
-            # the trivial group, whose one class is the identity
-            return True
-        # a group with a generator has degree >= 2, so every itemgetter
-        # here returns a tuple; times[y](x) is y * x
-        conjugators = [(itemgetter(*_inverse(h.images)), h.images)
-                       for h in self.generators]
-        members = [g.images]
-        times = {g.images: itemgetter(*g.images)}
-        for x in members:
-            times_x = times[x]
-            for inverse_times, h in conjugators:
-                # h^-1 * x * h
-                y = inverse_times(times_x(h))
-                if y not in times:
-                    times[y] = itemgetter(*y)
-                    members.append(y)
-        unseen = set(members[1:])
-        frontier = members[:1]
-        while frontier and unseen:
-            x = frontier.pop()
-            times_x = times[x]
-            joined = [y for y in unseen if times[y](x) != times_x(y)]
-            unseen.difference_update(joined)
-            frontier.extend(joined)
-        return not unseen
 
     @cached_property
     def _enumeration(self) -> Enumeration:

@@ -206,6 +206,7 @@ def _centralizer_order(mu) -> int:
     return prod(length ** m * factorial(m) for length, m in Counter(mu).items())
 
 
+@cache
 def _splits(mu) -> bool:
     """Whether the S_n class of an even type mu is two A_n classes: its
     parts are odd and distinct."""
@@ -220,19 +221,16 @@ def partition_family(group: PermGroup) -> str | None:
     return {1: "S", 2: "A"}.get(factorial(group.degree) // group.order)
 
 
-def _classify(images, first_parity: dict) -> tuple[tuple[int, ...], int]:
-    """The (type, half) of the element with these images.  The keys of
-    ``first_parity`` are the split types; the first element of one to
-    be classified records its sequence parity there, and an element of
-    that type is in half 0 when its parity matches, else in half 1."""
+def _classify(images, alternating: bool) -> tuple[tuple[int, ...], int]:
+    """The (type, half) of the element with these images: on a split
+    type of A_n the half is its sequence parity, so half 0 is the A_n
+    class of the element whose cycles are runs of consecutive points in
+    length order; on any other type it is 0."""
     cycles = cycles_of(images)
     mu = cycle_type_of(cycles)
-    if mu not in first_parity:
-        return mu, 0
-    parity = _sequence_parity(cycles)
-    if first_parity[mu] is None:
-        first_parity[mu] = parity
-    return mu, parity ^ first_parity[mu]
+    if alternating and _splits(mu):
+        return mu, _sequence_parity(cycles)
+    return mu, 0
 
 
 class SymmetricClasses(ClassFacts):
@@ -240,30 +238,27 @@ class SymmetricClasses(ClassFacts):
     read off cycle types; the facts it provides are those listed by
     ``structure.ClassFacts``, in the enumerated layer's class order.
 
-    ``types[k]`` is the cycle type of class k.  ``_first_parity`` maps
-    each split type of A_n to the sequence parity of its first element
-    in enumeration order, and ``_index`` maps the (type, half) that
-    ``_classify`` gives an element to its class.
+    ``types[k]`` is the cycle type of class k, and ``_index`` maps the
+    (type, half) that ``_classify`` gives an element to its class.
     """
 
     def __init__(self, group: PermGroup, reps: tuple[Perm, ...],
                  sizes: tuple[int, ...], power: tuple[tuple[int, ...], ...],
                  alternating: bool, types: tuple[tuple[int, ...], ...],
-                 first_parity: dict, index: dict):
+                 index: dict):
         self.group = group
         self.reps = reps
         self.sizes = sizes
         self._power = power
         self.alternating = alternating
         self.types = types
-        self._first_parity = first_parity
         self._index = index
 
     def class_of(self, g: Perm) -> int:
         if g.degree != self.group.degree:
             raise ValueError("element not in group")
         try:
-            return self._index[_classify(g.images, self._first_parity)]
+            return self._index[_classify(g.images, self.alternating)]
         except KeyError:   # an odd permutation, when the group is A_n
             raise ValueError("element not in group") from None
 
@@ -283,9 +278,8 @@ def symmetric_classes(group: PermGroup) -> SymmetricClasses:
     caps.check_enumerable(group.order)
     cycle_types = [mu for mu in partitions(n)
                    if not alternating or (n - len(mu)) % 2 == 0]
-    first_parity = dict.fromkeys(mu for mu in cycle_types
-                                 if alternating and _splits(mu))
-    count = len(cycle_types) + len(first_parity)
+    split = {mu for mu in cycle_types if alternating and _splits(mu)}
+    count = len(cycle_types) + len(split)
     caps.check_table_classes(count)
 
     # classes are numbered as the class search numbers them: in the
@@ -293,7 +287,7 @@ def symmetric_classes(group: PermGroup) -> SymmetricClasses:
     index = {}
     reps = []
     for images in group.walk():
-        key = _classify(images, first_parity)
+        key = _classify(images, alternating)
         if key not in index:
             index[key] = len(reps)
             reps.append(images)
@@ -303,7 +297,7 @@ def symmetric_classes(group: PermGroup) -> SymmetricClasses:
         raise ArithmeticError(f"the walk reached {len(reps)} of {count} classes")
     types = tuple(mu for mu, _ in index)
     sizes = tuple(factorial(n) // _centralizer_order(mu)
-                  // (1 + (mu in first_parity)) for mu in types)
+                  // (1 + (mu in split)) for mu in types)
     if sum(sizes) != group.order:
         raise ArithmeticError("class sizes do not sum to the group order")
     # row k lists the classes of rep_k ** 0, 1, ... until the powers
@@ -313,12 +307,11 @@ def symmetric_classes(group: PermGroup) -> SymmetricClasses:
         row = [0]
         x = r
         while x != reps[0]:
-            row.append(index[_classify(x, first_parity)])
+            row.append(index[_classify(x, alternating)])
             x = tuple(map(r.__getitem__, x))
         power.append(tuple(row))
     return SymmetricClasses(group, tuple(map(Perm, reps)), sizes,
-                            tuple(power), alternating, types, first_parity,
-                            index)
+                            tuple(power), alternating, types, index)
 
 
 def _split_values(eps: int, mu: tuple[int, ...], m: int) -> tuple[Cyc, Cyc]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from test_dixon import two_generator_groups
+from test_perms import class_noncommuting_connected
 
 from vangraph import harness
 from vangraph.caps import CapExceeded
@@ -18,7 +19,8 @@ from vangraph.harness import (DEFAULT_C44_CONFIGS, DEFAULT_CORPUS,
                               load_corpus_config, report_dict,
                               validate_c44_config)
 from vangraph.numth import prime_divisors
-from vangraph.perms import PermGroup, normal_closure, parse_cycles
+from vangraph.perms import (PermGroup, normal_closure, parse_cycles,
+                            read_generator_file)
 from vangraph.structure import GroupStructure
 from vangraph.vanishing import PrimeGraph, prime_graph
 
@@ -568,6 +570,22 @@ def oracle_is_simple(analysis, m_sub):
                for r in seeds)
 
 
+def oracle_commuting_is_simple(analysis, m_sub):
+    """Whether a nonabelian minimal normal subgroup M = T^k is simple,
+    by commuting class members: iff, for p the smallest prime dividing
+    |M|, every G-class of order-p elements in M is connected, two
+    members joined when they do not commute.  If k > 1, the class of an
+    element of one factor meets every factor (G permutes them
+    transitively), and members in different factors commute.  If M is
+    simple, each member of a class C maps a component K to itself (it
+    lies in K or commutes with K), so <C> = M normalises K; then
+    <K> = M, and the rest of C, commuting with K, lies in Z(M) = 1."""
+    classes = analysis.classes
+    p = prime_divisors(analysis.structure.order(m_sub))[0]
+    return all(class_noncommuting_connected(analysis.group, classes.reps[j])
+               for j in m_sub if classes.orders[j] == p)
+
+
 def oracle_p34(analysis):
     socle = harness._unique_nonabelian_minimal(analysis)
     if socle is None or not oracle_is_simple(analysis, socle):
@@ -658,6 +676,14 @@ def a5_wr_c2():
                        "(1 6)(2 7)(3 8)(4 9)(5 10)")], degree=10)
 
 
+def psl27_wr_c2():
+    """PSL(2,7) wr C2 on 14 points, order 56,448, from the corpus file
+    that pins its report: its unique minimal normal subgroup
+    PSL(2,7) x PSL(2,7) is not simple."""
+    path = Path(__file__).resolve().parents[1] / "corpora" / "psl27_wr_c2.grp"
+    return read_generator_file(path.read_text(encoding="utf-8"))
+
+
 def test_wreath_product_is_not_almost_simple():
     a = harness.analyze(a5_wr_c2())
     assert a.group.order == 7200
@@ -669,32 +695,72 @@ def test_wreath_product_is_not_almost_simple():
         "detail": "group is not almost simple"}
 
 
+def test_psl27_wreath_product_is_not_almost_simple():
+    a = harness.analyze(psl27_wr_c2())
+    assert (a.group.order, a.classes.count) == (56448, 27)
+    socle = harness._unique_nonabelian_minimal(a)
+    assert a.structure.order(socle) == 28224
+    assert harness._is_simple(a, socle) is False
+    assert verdict_map(a)["CHK-P34"].status == VACUOUS
+
+
 def simple_socle_answers(analysis):
-    """(engine, oracle) answers on the unique nonabelian minimal normal
-    subgroup, or None when there is no such subgroup."""
+    """The engine's, the normal-closure oracle's and the commuting
+    oracle's answers on the unique nonabelian minimal normal subgroup,
+    or None when there is no such subgroup."""
     socle = harness._unique_nonabelian_minimal(analysis)
     if socle is None:
         return None
     return (harness._is_simple(analysis, socle),
-            oracle_is_simple(analysis, socle))
+            oracle_is_simple(analysis, socle),
+            oracle_commuting_is_simple(analysis, socle))
 
 
 def test_is_simple_matches_normal_closures(analyses):
     answers = {spec: simple_socle_answers(analyses(spec))
                for spec in DEFAULT_CORPUS + ("S7", "A8", "S8")}
-    answers["A5 wr C2"] = simple_socle_answers(harness.analyze(a5_wr_c2()))
-    compared = {spec: pair for spec, pair in answers.items() if pair}
+    for name, group in (("A5 wr C2", a5_wr_c2()),
+                        ("PSL(2,7) wr C2", psl27_wr_c2())):
+        answers[name] = simple_socle_answers(harness.analyze(group))
+    compared = {spec: answer for spec, answer in answers.items() if answer}
     assert compared == {
-        spec: (True, True)
+        spec: (True, True, True)
         for spec in ("S5", "S6", "A5", "A6", "A7", "PSL(2,5)", "PSL(2,7)",
-                     "S7", "A8", "S8")} | {"A5 wr C2": (False, False)}
+                     "S7", "A8", "S8")} | {
+        "A5 wr C2": (False, False, False),
+        "PSL(2,7) wr C2": (False, False, False)}
 
 
 @settings(max_examples=25, deadline=None)
 @given(two_generator_groups)
 def test_is_simple_matches_normal_closures_random(group):
-    pair = simple_socle_answers(harness.analyze(group))
-    assert pair is None or pair[0] == pair[1]
+    answer = simple_socle_answers(harness.analyze(group))
+    assert answer is None or len(set(answer)) == 1
+
+
+def test_simple_group_is_decided_without_closures(analyses, monkeypatch):
+    # a simple G is its own unique minimal normal subgroup, so no
+    # permutation group is built to decide it
+    def refuse(group, seeds):
+        raise AssertionError("a normal closure was built")
+
+    monkeypatch.setattr(harness, "normal_closure", refuse)
+    for spec in ("A8", "PSL(2,29)"):
+        a = analyses(spec)
+        socle = harness._unique_nonabelian_minimal(a)
+        assert len(socle) == a.classes.count
+        assert harness._is_simple(a, socle) is True
+
+
+def test_socle_closure_must_match_its_class_set(analyses, monkeypatch):
+    # the closure of S5's socle A5 comes back as the whole group, of
+    # order 120 against the class set's 60
+    monkeypatch.setattr(harness, "normal_closure", lambda group, seeds: group)
+    a = analyses("S5")
+    socle = harness._unique_nonabelian_minimal(a)
+    assert a.structure.order(socle) == 60
+    with pytest.raises(ArithmeticError, match="order 120"):
+        harness._is_simple(a, socle)
 
 
 def test_check_fail_branches(analyses):
